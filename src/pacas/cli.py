@@ -43,11 +43,12 @@ def _load_inputs(args):
     return hierarchies, config
 
 
-def _build_session_factory(args):
-    hierarchies, config = _load_inputs(args)
+def _session_factory(args, hierarchies, config):
+    """Session builder over the file master, and the loaded master. The gate
+    counts ground Y-candidates, so the spec's levels are all 0."""
     master = load_relation(args.master, hierarchies, qi=config.qi, sensitive=config.sensitive)
-    levels = _parse_levels(args.levels, len(config.sensitive))
-    spec = AnonymitySpec(x=config.qi, y=config.sensitive, levels=levels, k=args.k)
+    spec = AnonymitySpec(x=config.qi, y=config.sensitive,
+                         levels=(0,) * len(config.sensitive), k=args.k)
 
     def factory() -> ProviderSession:
         if args.support:
@@ -56,8 +57,7 @@ def _build_session_factory(args):
             support = build_support_set(master.copy(), args.support_size, args.seed)
         return ProviderSession(master=master, support=support, spec=spec, mds=config.mds)
 
-    fingerprint = hashlib.sha256(Path(args.master).read_bytes()).hexdigest()[:12]
-    return factory, fingerprint
+    return factory, master
 
 
 def _parse_levels(raw: str | None, width: int) -> tuple[int, ...]:
@@ -84,7 +84,8 @@ def _parse_lmax(raw: str):
 # subcommands
 
 def cmd_serve(args) -> int:
-    factory, fingerprint = _build_session_factory(args)
+    factory, _ = _session_factory(args, *_load_inputs(args))
+    fingerprint = hashlib.sha256(Path(args.master).read_bytes()).hexdigest()[:12]
     server = ProviderServer((args.host, args.port), factory)
     port = server.server_address[1]
     print(json.dumps({"ready": True, "dataset_fingerprint": fingerprint, "port": port}),
@@ -103,26 +104,15 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _provider_handle(args, hierarchies, config):
-    """Embedded handle for a file master, remote handle for host:port."""
-    if ":" in args.master and not Path(args.master).exists():
-        host, _, port = args.master.rpartition(":")
-        return RemoteProvider(host, int(port)), None
-    master = load_relation(args.master, hierarchies, qi=config.qi, sensitive=config.sensitive)
-    levels = _parse_levels(args.levels, len(config.sensitive))
-    spec = AnonymitySpec(x=config.qi, y=config.sensitive, levels=levels, k=args.k)
-    if args.support:
-        support = SupportSet.load(args.support, master.copy())
-    else:
-        support = build_support_set(master.copy(), args.support_size, args.seed)
-    session = ProviderSession(master=master, support=support, spec=spec, mds=config.mds)
-    return EmbeddedProvider(session), master
-
-
 def cmd_clean(args) -> int:
     hierarchies, config = _load_inputs(args)
     dirty = load_relation(args.input, hierarchies, qi=config.qi, sensitive=config.sensitive)
-    provider, master = _provider_handle(args, hierarchies, config)
+    if ":" in args.master and not Path(args.master).exists():
+        host, _, port = args.master.rpartition(":")
+        provider, master = RemoteProvider(host, int(port)), None
+    else:
+        factory, master = _session_factory(args, hierarchies, config)
+        provider = EmbeddedProvider(factory())
     try:
         budget = Fraction(args.budget) * provider.total_weight()
         truth = None
@@ -153,17 +143,11 @@ def cmd_clean(args) -> int:
 
 def cmd_price(args) -> int:
     """Drive one pricing session from an NDJSON request file."""
-    factory, _ = _build_session_factory(args)
+    factory, _ = _session_factory(args, *_load_inputs(args))
     session = factory()
     for line in Path(args.requests).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        message = json.loads(line)
-        if "op" not in message:
-            message = {"op": "pay" if message.get("pay") else "ask_price", **message}
-        response = handle_message(session, message)
-        print(json.dumps(response))
+        if line.strip():
+            print(json.dumps(handle_message(session, json.loads(line))))
     return 0
 
 
@@ -216,13 +200,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_provider_args(p, with_master=True):
-    if with_master:
-        p.add_argument("--master", required=True, help="curated relation CSV")
+def _add_provider_args(p, master_help):
+    p.add_argument("--master", required=True, help=master_help)
     p.add_argument("--hierarchies", required=True, help="hierarchy JSON file or directory")
     p.add_argument("--config", required=True, help="schema/FD/MD JSON")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--levels", default=None, help="comma-separated policy levels for Y")
     p.add_argument("--support-size", type=int, default=10)
     p.add_argument("--support", default=None, help="support-set snapshot JSON")
     p.add_argument("--seed", type=int, default=0)
@@ -234,31 +216,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the provider endpoint")
-    _add_provider_args(p)
+    _add_provider_args(p, "curated relation CSV")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("clean", help="repair a dirty relation against a provider")
+    _add_provider_args(p, "master CSV path or host:port")
     p.add_argument("--input", required=True, help="dirty relation CSV")
-    p.add_argument("--master", required=True, help="master CSV path or host:port")
-    p.add_argument("--hierarchies", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--budget", required=True, help="fraction of the total disclosure price")
     p.add_argument("--lmax", default="0",
                    help="level cap: global int or per-attribute like MED=1,DIAG=0")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--levels", default=None)
-    p.add_argument("--support-size", type=int, default=10)
-    p.add_argument("--support", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", default=None, help="ground-truth CSV for repair-error reporting")
     p.add_argument("--out", required=True, help="repaired CSV path")
     p.add_argument("--report", default=None, help="JSON report path")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("price", help="quote and purchase requests from an NDJSON file")
-    _add_provider_args(p)
+    _add_provider_args(p, "curated relation CSV")
     p.add_argument("--requests", required=True, help="NDJSON request file")
     p.set_defaults(func=cmd_price)
 

@@ -34,6 +34,7 @@ from .rng import child_rng
 _MED_MAP = (0, 1, 2, 0, 1, 2, 3, 4, 3, 4)  # diag index -> med index (per gender)
 _AGES = ("21", "22", "23", "24")
 _N_DIAGS = 10
+_GROUP_SIZE = 6  # tuples per (GEN, AGE) group, a window of the diagnoses
 
 
 def _med_hierarchy() -> dict:
@@ -91,8 +92,8 @@ class SyntheticBundle:
     spec_y: tuple[str, ...] = ("MED",)
 
 
-def generate_master(seed: int = 0, group_size: int = 6) -> SyntheticBundle:
-    """Deterministic curated relation of 2 genders x 4 age groups.
+def generate_master(seed: int = 0) -> SyntheticBundle:
+    """Deterministic curated relation of 2 genders x 4 age groups x 6 tuples.
 
     Each (GEN, AGE) group samples a window of diagnoses whose FD-mapped
     medications give per-group sensitive diversities of 3 to 5 distinct
@@ -113,7 +114,7 @@ def generate_master(seed: int = 0, group_size: int = 6) -> SyntheticBundle:
     n = 0
     for g, gender in enumerate(("male", "female")):
         for a, age in enumerate(_AGES):
-            window = [(2 * a + i) % _N_DIAGS for i in range(group_size)]
+            window = [(2 * a + i) % _N_DIAGS for i in range(_GROUP_SIZE)]
             rng.shuffle(window)
             for j in window:
                 n += 1
@@ -244,7 +245,6 @@ class SweepConfig:
     default_error: float = 0.1
     repetitions: int = 3
     base_seed: int = 7
-    group_size: int = 6
     error_mix: tuple[float, float] = (0.8, 0.2)
 
     @classmethod
@@ -265,11 +265,10 @@ def run_point(
     k: int,
     error_rate: float,
     seed: int,
-    group_size: int = 6,
     error_mix: tuple[float, float] = (0.8, 0.2),
 ) -> dict:
     """One full inject + clean cycle against an embedded provider."""
-    bundle = generate_master(seed=seed, group_size=group_size)
+    bundle = generate_master(seed=seed)
     plan = InjectionPlan(rate=error_rate, mix=error_mix, seed=seed)
     dirty, _ = inject_errors(bundle.truth, plan, bundle.config.fds)
     support = build_support_set(bundle.master, support_size, seed)
@@ -338,7 +337,6 @@ def run_axis(config: SweepConfig, axis: str) -> tuple[list[dict], list[dict]]:
                 k=int(params["k"]),
                 error_rate=params["error"],
                 seed=seed,
-                group_size=config.group_size,
                 error_mix=config.error_mix,
             )
             reps.append(point)

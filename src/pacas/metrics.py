@@ -60,7 +60,7 @@ class PenaltyTable:
             return 0.0
         p = mass / self.dist.total
         entropy = 0.0
-        for g in ground:
+        for g in sorted(ground):  # a fixed order keeps the float sum reproducible
             c = self.dist.counts.get(g, 0)
             if c:
                 q = c / mass

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .anonymity import AnonymitySpec
 from .errors import EmptyRelation, PacasError, StalePartition
@@ -221,16 +221,10 @@ def build_support_set(
     return SupportSet(reference, members, seed=seed)
 
 
-def baseline_price(
-    q: GeneralizedQuery,
-    relation: GeneralizedRelation,
-    support: SupportSet,
-    weight: Callable[[Member], int] | None = None,
-) -> int:
+def baseline_price(q: GeneralizedQuery, relation: GeneralizedRelation, support: SupportSet) -> int:
     """Weighted-cover price: total weight of members answering differently."""
-    w = weight or (lambda m: m.weight)
     truth = eval_gq(q, relation)
-    return sum(w(m) for m in support.members if eval_gq(q, support.materialize(m)) != truth)
+    return sum(m.weight for m in support.members if eval_gq(q, support.materialize(m)) != truth)
 
 
 def safe_price(
@@ -238,7 +232,6 @@ def safe_price(
     relation: GeneralizedRelation,
     support: SupportSet,
     spec: AnonymitySpec,
-    weight: Callable[[Member], int] | None = None,
 ) -> tuple[PriceQuote, Partition]:
     """Price a query and gate it on the buyer's residual uncertainty.
 
@@ -248,7 +241,6 @@ def safe_price(
     agreeing members. INFINITE quotes are values, not errors, and must stay
     side-effect free.
     """
-    w = weight or (lambda m: m.weight)
     truth = eval_gq(q, relation)
     survivors: list[Member] = []
     conflicts: list[Member] = []
@@ -259,7 +251,7 @@ def safe_price(
             conflicts.append(member)
     partition = Partition(tuple(survivors), tuple(conflicts), tuple(support.members))
     fingerprint = q.fingerprint()
-    price = sum(w(m) for m in conflicts)
+    price = sum(m.weight for m in conflicts)
     for row in relation.rows:
         xvec = tuple(row.values[a] for a in spec.x)
         candidates: set = set()

@@ -50,8 +50,11 @@ def decode_price(value) -> object:
     return INFINITE if value == "infinite" else value
 
 
-def handle_message(session: ProviderSession, message: dict) -> dict:
-    """Dispatch one parsed request object against a session."""
+def handle_message(session: ProviderSession, message: object) -> dict:
+    """Dispatch one parsed request against a session; anything but a JSON
+    object is an invalid request."""
+    if not isinstance(message, dict):
+        return {"ok": False, "error": "invalid_request", "detail": "request is not an object"}
     op = message.get("op")
     try:
         if op == "ask_price":
@@ -69,9 +72,7 @@ def handle_message(session: ProviderSession, message: dict) -> dict:
         return {"ok": False, "error": "unknown_op"}
     except tuple(_ERROR_CODES) as exc:
         return {"ok": False, "error": _ERROR_CODES[type(exc)], "detail": str(exc)}
-    except (KeyError, TypeError, ValueError) as exc:
-        return {"ok": False, "error": "invalid_request", "detail": str(exc)}
-    except PacasError as exc:
+    except (KeyError, TypeError, ValueError, PacasError) as exc:
         return {"ok": False, "error": "invalid_request", "detail": str(exc)}
 
 

@@ -8,12 +8,13 @@ and returns a single value at the requested level.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .anonymity import AnonymitySpec
 from .errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest, UnknownValue
-from .gquery import GeneralizedQuery, eval_ground
+from .gquery import GeneralizedQuery
 from .hierarchy import generalize_to
 from .pricing import SupportSet, commit_sale, is_infinite, safe_price
 from .relation import MD, GeneralizedRelation
@@ -74,20 +75,13 @@ class ProviderSession:
     def total_weight(self) -> int:
         return self.support.total_weight
 
-    def _validate(self, request: ValueRequest) -> None:
-        for md in self.mds:
-            if md.target[0] == request.attribute:
-                provider_attr = md.target[1]
-                height = self.master.hierarchies.for_attribute(provider_attr).height
-                if not 0 <= request.level <= height:
-                    raise UnknownValue(
-                        f"level {request.level} outside [0, {height}] for {provider_attr!r}"
-                    )
-                return
-
     def quote(self, request: ValueRequest, client_tuple: Mapping[str, str]):
-        self._validate(request)
         q = translate_request(request, client_tuple, self.mds)
+        height = self.master.hierarchies.for_attribute(q.projection[0]).height
+        if not 0 <= request.level <= height:
+            raise UnknownValue(
+                f"level {request.level} outside [0, {height}] for {q.projection[0]!r}"
+            )
         return q, safe_price(q, self.master, self.support, self.spec)
 
     def ask_price(self, request: ValueRequest, client_tuple: Mapping[str, str]):
@@ -106,8 +100,8 @@ class ProviderSession:
     def pay(self, price, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Execute a purchase at the currently quoted price.
 
-        Returns (value, level). The answer is the matched value with the
-        largest ground support, ties broken lexicographically. The sale is
+        Returns (value, level). The answer is the lifted value with the most
+        matching curated rows, ties broken lexicographically. The sale is
         committed only after a non-empty answer is found, so failed purchases
         cost nothing and leave no trace in the support set.
         """
@@ -116,24 +110,16 @@ class ProviderSession:
             raise UnsafeRequest(f"request {request} cannot be answered safely")
         if is_infinite(price) or price != quote.amount:
             raise QuoteMismatch(f"offered {price!r}, current quote is {quote.amount!r}")
-        provider_attr = q.projection[0]
-        h = self.master.hierarchies.for_attribute(provider_attr)
-        matches = eval_ground(
-            GeneralizedQuery(q.projection, q.selection, (0,)), self.master
+        attr = q.projection[0]
+        h = self.master.hierarchies.for_attribute(attr)
+        counts = Counter(
+            generalize_to(h, row.values[attr], request.level)
+            for row in self.master.rows
+            if all(row.values[a] == v for a, v in q.selection)
         )
-        if not matches:
+        if not counts:
             raise NoMatch(f"no curated tuple matches request {request}")
-        counts: dict[str, int] = {}
-        for (ground_value,) in matches:
-            lifted = generalize_to(h, ground_value, request.level)
-            support_size = sum(
-                1
-                for row in self.master.rows
-                if all(row.values[a] == v for a, v in q.selection)
-                and generalize_to(h, row.values[provider_attr], request.level) == lifted
-            )
-            counts[lifted] = support_size
-        best = max(sorted(counts), key=lambda v: counts[v])
+        best = max(sorted(counts), key=counts.__getitem__)
         commit_sale(self.support, partition)
         self.ledger.append(
             {

@@ -55,7 +55,6 @@ class MD:
 
     match: tuple[tuple[str, str], ...]
     target: tuple[str, str]
-    similarity: str = "exact"
 
     def __post_init__(self):
         if not self.match:
@@ -84,9 +83,6 @@ class GeneralizedRelation:
             return self._by_tid[tid]
         except KeyError:
             raise StaleClass(f"tuple {tid!r} no longer exists") from None
-
-    def has_row(self, tid: str) -> bool:
-        return tid in self._by_tid
 
     def is_ground(self) -> bool:
         return all(
@@ -172,7 +168,6 @@ class DependencyConfig:
             MD(
                 match=tuple((c[0], c[1]) for c in m["match"]),
                 target=(m["target"][0], m["target"][1]),
-                similarity=m.get("similarity", "exact"),
             )
             for m in doc.get("mds", ())
         )
@@ -195,6 +190,16 @@ def _ground_lhs_key(relation: GeneralizedRelation, row: Row, lhs: tuple[str, ...
     return tuple(key)
 
 
+def _lhs_groups(relation: GeneralizedRelation, fd: FD):
+    """Rows sharing one all-ground LHS vector, grouped in row order."""
+    groups: dict[tuple, list[Row]] = {}
+    for row in relation.rows:
+        key = _ground_lhs_key(relation, row, fd.lhs)
+        if key is not None:
+            groups.setdefault(key, []).append(row)
+    return groups.values()
+
+
 def _rhs_comparable(relation: GeneralizedRelation, a: Row, b: Row, rhs: tuple[str, ...]) -> bool:
     for attr in rhs:
         h = relation.hierarchies.for_attribute(attr)
@@ -210,12 +215,7 @@ def violations(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[tuple[F
     for fd in fds:
         for attr in fd.lhs + fd.rhs:
             relation.schema.require(attr)
-        groups: dict[tuple, list[Row]] = {}
-        for row in relation.rows:
-            key = _ground_lhs_key(relation, row, fd.lhs)
-            if key is not None:
-                groups.setdefault(key, []).append(row)
-        for members in groups.values():
+        for members in _lhs_groups(relation, fd):
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     if not _rhs_comparable(relation, a, b, fd.rhs):
@@ -271,12 +271,7 @@ def generate_eqs(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[Equiv
             for attr in fd.rhs:
                 uf.add((row.tid, attr))
     for fd in fds:
-        groups: dict[tuple, list[Row]] = {}
-        for row in relation.rows:
-            key = _ground_lhs_key(relation, row, fd.lhs)
-            if key is not None:
-                groups.setdefault(key, []).append(row)
-        for members in groups.values():
+        for members in _lhs_groups(relation, fd):
             anchor = members[0]
             for other in members[1:]:
                 for attr in fd.rhs:

@@ -8,7 +8,9 @@ import sys
 import time
 from pathlib import Path
 
-from pacas.cli import main
+import pytest
+
+from pacas.cli import build_parser, main
 
 from conftest import FIXTURES
 
@@ -65,6 +67,23 @@ class TestPrice:
         assert out[2] == {"ok": True, "price": 0}
 
 
+class TestNoPolicyLevels:
+    """The provider's gate uses no L, so its commands take no --levels."""
+
+    @pytest.mark.parametrize("command", [
+        ["serve"],
+        ["price", "--requests", "requests.ndjson"],
+        ["clean", "--input", str(FIXTURES / "dirty.csv"), "--budget", "1",
+         "--out", "repaired.csv"],
+    ])
+    def test_levels_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, "--master", str(FIXTURES / "master.csv"),
+                                       *fixture_args(), "--levels", "1"])
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
+
+
 class TestInject:
     def test_writes_dirty_and_manifest(self, capsys, tmp_path):
         rc = main(["inject", "--truth", str(FIXTURES / "truth.csv"), *fixture_args(),
@@ -104,7 +123,7 @@ class TestClean:
     def test_generalized_clean(self, capsys, tmp_path):
         rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
                    "--master", str(FIXTURES / "master.csv"), *fixture_args(),
-                   "--budget", "1", "--lmax", "1", "--k", "3", "--levels", "1",
+                   "--budget", "1", "--lmax", "1", "--k", "3",
                    "--support", str(FIXTURES / "golden_support.json"),
                    "--out", str(tmp_path / "repaired.csv")])
         assert rc == 0
@@ -114,7 +133,7 @@ class TestClean:
     def test_per_attribute_level_cap(self, capsys, tmp_path):
         rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
                    "--master", str(FIXTURES / "master.csv"), *fixture_args(),
-                   "--budget", "1", "--lmax", "MED=1", "--k", "3", "--levels", "1",
+                   "--budget", "1", "--lmax", "MED=1", "--k", "3",
                    "--support", str(FIXTURES / "golden_support.json"),
                    "--out", str(tmp_path / "repaired.csv")])
         assert rc == 0

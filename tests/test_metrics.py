@@ -1,6 +1,10 @@
 """Penalty and semantic-distance metrics against the worked age example."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,3 +180,28 @@ def test_path_additivity_and_comparable_difference(payload, data):
     d_wv = distance(dist, h, w, v, table=table)
     assert d_uv == pytest.approx(d_uw + d_wv, abs=1e-9)
     assert d_uv == pytest.approx(table.penalty(v) - table.penalty(u), abs=1e-9)
+
+
+_FLAT_PENALTY = """
+from pacas.hierarchy import load_hierarchy
+from pacas.metrics import Distribution, PenaltyTable
+leaves = [f"v{i:02d}" for i in range(40)]
+h = load_hierarchy({"attribute": "A", "levels": 2, "nodes":
+    [{"value": "*", "level": 1, "parent": None}]
+    + [{"value": v, "level": 0, "parent": "*"} for v in leaves]})
+values = [v for i, v in enumerate(leaves) for _ in range(i % 7 + 1)]
+print(repr(PenaltyTable(Distribution.from_column("A", values, h), h).penalty("*")))
+"""
+
+
+def test_penalty_independent_of_string_hashing():
+    """The entropy sum over a node's ground values runs in a fixed order, so
+    the same reference gives the same float in every process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    seen = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed))
+        result = subprocess.run([sys.executable, "-c", _FLAT_PENALTY], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        seen.add(result.stdout.strip())
+    assert len(seen) == 1, seen

@@ -84,6 +84,11 @@ class TestHandleMessage:
         assert response["ok"] is False
         assert response["error"] == "quote_mismatch"
 
+    @pytest.mark.parametrize("message", [[1], 3, "x", None])
+    def test_non_object_is_invalid_request(self, master, dep_config, message):
+        session = make_factory(master, dep_config)()
+        assert handle_message(session, message)["error"] == "invalid_request"
+
     def test_info_reports_total_weight(self, master, dep_config):
         session = make_factory(master, dep_config,
                                support_path=FIXTURES / "golden_support.json")()
@@ -157,6 +162,23 @@ class TestSocketTransport:
                 f.flush()
                 response = json.loads(f.readline())
                 assert response == {"ok": False, "error": "bad_json"}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_non_object_line_keeps_connection(self, master, dep_config):
+        factory = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")
+        server, port = start_server(factory)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                f.write(b'[1]\n{"op":"info"}\n')
+                f.flush()
+                first = json.loads(f.readline())
+                second = json.loads(f.readline())
+                assert (first["ok"], first["error"]) == (False, "invalid_request")
+                assert second == {"ok": True, "total_weight": 12}
         finally:
             server.shutdown()
             server.server_close()

@@ -4,9 +4,14 @@ import pytest
 
 from pacas.anonymity import AnonymitySpec, is_safe_query
 from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest
-from pacas.pricing import INFINITE, build_support_set, is_infinite
+from pacas.gquery import GeneralizedQuery, eval_ground
+from pacas.harness import generate_master
+from pacas.hierarchy import generalize_to
+from pacas.pricing import INFINITE, SupportSet, build_support_set, is_infinite
 from pacas.provider import ProviderSession, ValueRequest, translate_request
 from pacas.relation import MD
+
+from conftest import FIXTURES
 
 
 def make_session(master, support, k=1, levels=(0,), mds=None):
@@ -146,6 +151,73 @@ class TestPay:
         price = session.ask_price(request, probe)
         value, _ = session.pay(price, request, probe)
         assert value == "addaprin"
+
+
+def rescan_answer(master, q, level):
+    """Reference for pay's answer: the ground answer first, then one master
+    rescan per matched value counting the rows that lift to its ancestor.
+    Returns the answer and whether several ground values lifted together."""
+    attr = q.projection[0]
+    h = master.hierarchies.for_attribute(attr)
+    matches = eval_ground(GeneralizedQuery(q.projection, q.selection, (0,)), master)
+    counts = {}
+    for (ground_value,) in matches:
+        lifted = generalize_to(h, ground_value, level)
+        counts[lifted] = sum(
+            1
+            for row in master.rows
+            if all(row.values[a] == v for a, v in q.selection)
+            and generalize_to(h, row.values[attr], level) == lifted
+        )
+    return max(sorted(counts), key=lambda v: counts[v]), len(counts) < len(matches)
+
+
+class TestPayAgainstRescan:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_group_and_level(self, seed):
+        bundle = generate_master(seed)
+        master = bundle.master
+        md = MD(match=(("GEN", "GEN"), ("AGE", "AGE")), target=("MED", "MED"))
+        spec = AnonymitySpec(x=bundle.spec_x, y=bundle.spec_y, levels=(0,), k=1)
+        session = ProviderSession(master=master, spec=spec, mds=(md,),
+                                  support=build_support_set(master.copy(), 10, seed))
+        height = master.hierarchies.for_attribute("MED").height
+        groups = sorted({(r.values["GEN"], r.values["AGE"]) for r in master.rows})
+        sold = merged = 0
+        for gen, age in groups:
+            probe = {"GEN": gen, "AGE": age}
+            for level in range(height + 1):
+                request = ValueRequest("c1", "MED", level)
+                price = session.ask_price(request, probe)
+                if is_infinite(price):
+                    continue
+                q = translate_request(request, probe, session.mds)
+                expected, several = rescan_answer(master, q, level)
+                assert session.pay(price, request, probe) == (expected, level)
+                sold += 1
+                merged += several
+        assert sold == len(groups) * (height + 1)
+        assert merged > 0  # the lifted counts, not only ground ones, were exercised
+
+
+class TestPolicyLevels:
+    def test_gate_ignores_spec_levels(self, master, dirty):
+        """The gate counts ground Y-candidates at k: a spec with L=1 quotes
+        every request exactly as one with L=0."""
+        height = master.hierarchies.for_attribute("MED").height
+        sessions = [
+            make_session(master, SupportSet.load(FIXTURES / "golden_support.json",
+                                                 master.copy()), k=3, levels=levels)
+            for levels in ((0,), (1,))
+        ]
+        quotes = [
+            [session.ask_price(ValueRequest(row.tid, "MED", level), row.values)
+             for row in dirty.rows for level in range(height + 1)]
+            for session in sessions
+        ]
+        assert quotes[0] == quotes[1]
+        assert any(is_infinite(price) for price in quotes[0])
+        assert any(not is_infinite(price) for price in quotes[0])
 
 
 class TestLedgerReplay:
