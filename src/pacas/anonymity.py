@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInstanceSet, UnknownAttribute
 from .gquery import GeneralizedQuery, eval_gq, eval_ground, xgroup_query
-from .relation import GeneralizedRelation
+from .hierarchy import generalize_to
+from .relation import GeneralizedRelation, Row
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,15 @@ class AnonymitySpec:
         return tuple(0 for _ in self.y)
 
 
+def xgroups(rows: Iterable[Row], x: Sequence[str], y: Sequence[str]) -> dict[tuple, set[tuple]]:
+    """X-vector -> set of Y-vectors co-occurring with it, in one pass."""
+    groups: dict[tuple, set[tuple]] = {}
+    for row in rows:
+        xvec = tuple(row.values[a] for a in x)
+        groups.setdefault(xvec, set()).add(tuple(row.values[a] for a in y))
+    return groups
+
+
 def group_sizes(
     relation: GeneralizedRelation,
     x: Sequence[str],
@@ -43,12 +53,14 @@ def group_sizes(
 ) -> list[tuple[str, int]]:
     """Per-tuple count of distinct Y-values (at the given levels) sharing the
     tuple's X-vector."""
-    out = []
-    for row in relation.rows:
-        probe = xgroup_query(row, tuple(x), tuple(y), tuple(levels or (0,) * len(y)))
-        answers = eval_gq(probe, relation) if levels else eval_ground(probe, relation)
-        out.append((row.tid, len(answers)))
-    return out
+    for attr in (*y, *x):
+        relation.schema.require(attr)
+    groups = xgroups(relation.rows, x, y)
+    if levels:
+        hs = [relation.hierarchies.for_attribute(a) for a, _ in zip(y, levels, strict=True)]
+        for xvec, yvecs in groups.items():
+            groups[xvec] = {tuple(map(generalize_to, hs, yvec, levels)) for yvec in yvecs}
+    return [(row.tid, len(groups[tuple(row.values[a] for a in x)])) for row in relation.rows]
 
 
 def is_xy_anonymous(

@@ -21,7 +21,7 @@ from . import metrics
 from .anonymity import AnonymitySpec, group_sizes, is_xyl_anonymous
 from .cleaner import safe_clean
 from .errors import PacasError, ProtocolError
-from .harness import InjectionPlan, SweepConfig, inject_errors, run_sweep
+from .harness import AXES, InjectionPlan, SweepConfig, inject_errors, run_sweep
 from .hierarchy import load_hierarchy_set
 from .pricing import SupportSet, build_support_set
 from .protocol import EmbeddedProvider, ProviderServer, RemoteProvider, handle_message
@@ -88,16 +88,17 @@ def cmd_serve(args) -> int:
     fingerprint = hashlib.sha256(Path(args.master).read_bytes()).hexdigest()[:12]
     server = ProviderServer((args.host, args.port), factory)
     port = server.server_address[1]
-    print(json.dumps({"ready": True, "dataset_fingerprint": fingerprint, "port": port}),
-          flush=True)
 
     def shutdown(signum, frame):
         # shutdown() blocks until serve_forever exits, so it must not run on
         # the serving thread itself
         threading.Thread(target=server.shutdown, daemon=True).start()
 
+    # a client may signal as soon as it reads the ready line
     signal.signal(signal.SIGINT, shutdown)
     signal.signal(signal.SIGTERM, shutdown)
+    print(json.dumps({"ready": True, "dataset_fingerprint": fingerprint, "port": port}),
+          flush=True)
     log.info("serving on %s:%s", args.host, port)
     server.serve_forever()
     server.server_close()
@@ -187,11 +188,10 @@ def cmd_inject(args) -> int:
 
 def cmd_eval(args) -> int:
     config = SweepConfig.from_json(args.config) if args.config else SweepConfig()
-    known = ("budget", "support", "level", "k", "error")
-    axes = tuple(a.strip() for a in args.axes.split(",")) if args.axes else known
+    axes = tuple(a.strip() for a in args.axes.split(",")) if args.axes else AXES
     for axis in axes:
-        if axis not in known:
-            raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(known)}")
+        if axis not in AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(AXES)}")
     summary = run_sweep(config, args.outdir, axes=axes)
     print(json.dumps({"axes": list(summary), "outdir": str(args.outdir)}))
     return 0

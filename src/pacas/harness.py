@@ -299,31 +299,16 @@ def run_point(
     }
 
 
-_AXES = ("budget", "support", "level", "k", "error")
-
-
-def _axis_values(config: SweepConfig, axis: str) -> tuple:
-    return {
-        "budget": config.budget_grid,
-        "support": config.support_grid,
-        "level": config.level_grid,
-        "k": config.k_grid,
-        "error": config.error_grid,
-    }[axis]
+# each axis names a SweepConfig grid `<axis>_grid` and its default `default_<axis>`
+AXES = ("budget", "support", "level", "k", "error")
 
 
 def run_axis(config: SweepConfig, axis: str) -> tuple[list[dict], list[dict]]:
     """Averaged rows plus per-repetition timing rows for one sweep axis."""
     rows: list[dict] = []
     timing: list[dict] = []
-    for value in _axis_values(config, axis):
-        params = {
-            "budget": config.default_budget,
-            "support": config.default_support,
-            "level": config.default_level,
-            "k": config.default_k,
-            "error": config.default_error,
-        }
+    for value in getattr(config, f"{axis}_grid"):
+        params = {a: getattr(config, f"default_{a}") for a in AXES}
         params[axis] = value
         reps = []
         for rep in range(config.repetitions):
@@ -356,7 +341,7 @@ def run_axis(config: SweepConfig, axis: str) -> tuple[list[dict], list[dict]]:
     return rows, timing
 
 
-def run_sweep(config: SweepConfig, outdir: str | Path, axes: Iterable[str] = _AXES) -> dict:
+def run_sweep(config: SweepConfig, outdir: str | Path, axes: Iterable[str] = AXES) -> dict:
     """Write one CSV per axis plus a timing file; results are seed-determined
     and byte-identical across reruns (timings live in their own file)."""
     outdir = Path(outdir)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .anonymity import AnonymitySpec
+from .anonymity import AnonymitySpec, xgroups
 from .errors import EmptyRelation, PacasError, StalePartition
 from .gquery import GeneralizedQuery, eval_gq
 from .relation import GeneralizedRelation, Row
@@ -125,10 +125,7 @@ class SupportSet:
         key = (member, x, y)
         index = self._group_index.get(key)
         if index is None:
-            index = {}
-            for row in self.materialize(member).rows:
-                xvec = tuple(row.values[a] for a in x)
-                index.setdefault(xvec, set()).add(tuple(row.values[a] for a in y))
+            index = xgroups(self.materialize(member).rows, x, y)
             self._group_index[key] = index
         return index
 
@@ -167,17 +164,15 @@ def _apply_delta(reference: GeneralizedRelation, member: Member) -> GeneralizedR
                                hierarchies=reference.hierarchies)
 
 
-def build_support_set(
-    reference: GeneralizedRelation,
-    size: int,
-    seed: int,
-    mix: tuple[float, float, float] = (0.7, 0.15, 0.15),
-) -> SupportSet:
+# probability of a single-cell update, a tuple insert and a tuple delete
+_MEMBER_MIX = (0.7, 0.15, 0.15)
+
+
+def build_support_set(reference: GeneralizedRelation, size: int, seed: int) -> SupportSet:
     """Sample `size` distinct seeded neighbors of the reference relation.
 
-    The mix gives the probability of single-cell updates, tuple inserts and
-    tuple deletes; replacement values come from the ground domain observed in
-    the reference column.
+    Members are drawn by `_MEMBER_MIX`; replacement values come from the
+    ground domain observed in the reference column.
     """
     if not reference.rows:
         raise EmptyRelation("cannot build a support set over an empty relation")
@@ -197,7 +192,7 @@ def build_support_set(
         if attempts > 200 * size:
             raise PacasError("exhausted distinct neighbors for the requested support size")
         roll = rng.random()
-        if roll < mix[0]:
+        if roll < _MEMBER_MIX[0]:
             row = rng.choice(reference.rows)
             attr = rng.choice(attrs)
             choices = [v for v in domains[attr] if v != row.values[attr]]
@@ -205,7 +200,7 @@ def build_support_set(
                 continue
             member = Member("update", row.tid, attr=attr, value=rng.choice(choices))
             signature = ("update", member.tid, member.attr, member.value)
-        elif roll < mix[0] + mix[1]:
+        elif roll < _MEMBER_MIX[0] + _MEMBER_MIX[1]:
             insert_counter += 1
             payload = tuple(sorted((a, rng.choice(domains[a])) for a in attrs))
             member = Member("insert", f"+{insert_counter}", payload=payload)

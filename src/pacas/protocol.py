@@ -72,7 +72,7 @@ def handle_message(session: ProviderSession, message: object) -> dict:
         return {"ok": False, "error": "unknown_op"}
     except tuple(_ERROR_CODES) as exc:
         return {"ok": False, "error": _ERROR_CODES[type(exc)], "detail": str(exc)}
-    except (KeyError, TypeError, ValueError, PacasError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PacasError) as exc:
         return {"ok": False, "error": "invalid_request", "detail": str(exc)}
 
 
@@ -91,12 +91,13 @@ class _ProviderHandler(socketserver.StreamRequestHandler):
     def handle(self):
         session = self.server.session_factory()
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 message = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
+                # bad UTF-8 and bad JSON raise ValueError, deep nesting RecursionError
                 response = {"ok": False, "error": "bad_json"}
             else:
                 response = handle_message(session, message)

@@ -291,25 +291,27 @@ def generate_eqs(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[Equiv
     ]
 
 
-def error_count(relation: GeneralizedRelation, fds: Iterable[FD], eq: EquivalenceClass) -> int:
-    """Distinct violating tuple pairs that any cell of the class participates
-    in, unioned over all FDs."""
-    for tid, _ in eq.cells:
-        relation.row(tid)  # raises StaleClass when the tuple is gone
-    pairs: set[tuple[str, str]] = set()
-    for fd, t1, t2 in violations(relation, fds):
-        involved = {(t, a) for t in (t1, t2) for a in fd.lhs + fd.rhs}
-        if involved & eq.cells:
-            pairs.add((t1, t2))
-    return len(pairs)
-
-
 def refresh_error_counts(
     relation: GeneralizedRelation, fds: Iterable[FD], eqs: Iterable[EquivalenceClass]
 ) -> None:
-    fds = tuple(fds)
-    for eq in eqs:
-        eq.error_count = error_count(relation, fds, eq)
+    """Set each class's error count: the distinct violating tuple pairs that
+    any cell of the class participates in, unioned over all FDs, in one scan."""
+    eqs = list(eqs)
+    if not eqs:
+        return
+    owners: dict[tuple[str, str], list[int]] = {}  # a cell may sit in several classes
+    for i, eq in enumerate(eqs):
+        for cell in eq.cells:
+            relation.row(cell[0])  # raises StaleClass when the tuple is gone
+            owners.setdefault(cell, []).append(i)
+    pairs: list[set[tuple[str, str]]] = [set() for _ in eqs]
+    for fd, t1, t2 in violations(relation, fds):
+        for t in (t1, t2):
+            for a in fd.lhs + fd.rhs:
+                for i in owners.get((t, a), ()):
+                    pairs[i].add((t1, t2))
+    for eq, found in zip(eqs, pairs):
+        eq.error_count = len(found)
 
 
 def resolved(relation: GeneralizedRelation, eq: EquivalenceClass) -> bool:

@@ -1,12 +1,19 @@
 """Anonymity validators against brute-force oracles and the public table."""
 
+import itertools
 import random
 
 import pytest
 
-from pacas.anonymity import AnonymitySpec, is_safe_query, is_xy_anonymous, is_xyl_anonymous
+from pacas.anonymity import (
+    AnonymitySpec,
+    group_sizes,
+    is_safe_query,
+    is_xy_anonymous,
+    is_xyl_anonymous,
+)
 from pacas.errors import EmptyInstanceSet
-from pacas.gquery import GeneralizedQuery
+from pacas.gquery import GeneralizedQuery, eval_gq, eval_ground, xgroup_query
 from pacas.hierarchy import HierarchySet, generalize_to, load_hierarchy
 from pacas.relation import GeneralizedRelation, Row, Schema
 
@@ -119,6 +126,26 @@ def test_validators_match_brute_force_oracles():
         if is_xyl_anonymous(rel, spec) != brute_force_xyl(rel, x, y, levels, k):
             disagreements += 1
     assert disagreements == 0
+
+
+def per_row_group_sizes(relation, x, y, levels=None):
+    """Reference rule, one selection query per tuple: distinct Y-values (at
+    the given levels) among the rows matching the tuple's X-vector."""
+    out = []
+    for row in relation.rows:
+        probe = xgroup_query(row, tuple(x), tuple(y), tuple(levels or (0,) * len(y)))
+        answers = eval_gq(probe, relation) if levels else eval_ground(probe, relation)
+        out.append((row.tid, len(answers)))
+    return out
+
+
+def test_group_sizes_match_per_row_rule():
+    for rel, x, _, _, _ in corpus():
+        hs = rel.hierarchies
+        for y in (("S",), tuple(a for a in ("Q", "S") if a not in x)):
+            every_level = itertools.product(*(range(hs[a].height + 1) for a in y))
+            for levels in (None, *every_level):
+                assert group_sizes(rel, x, y, levels) == per_row_group_sizes(rel, x, y, levels)
 
 
 def test_theorem_level_monotonicity():

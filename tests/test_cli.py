@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pacas import cli
 from pacas.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -42,6 +43,12 @@ class TestCheckAnon:
     def test_missing_file_exit_code(self, capsys):
         rc = main(["check-anon", "--relation", "/nonexistent.csv", *fixture_args()])
         assert rc == 2
+
+    def test_unknown_x_attribute_exit_code(self, capsys):
+        rc = main(["check-anon", "--relation", str(FIXTURES / "public.csv"),
+                   *fixture_args(), "--x", "ZZZ"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UnknownAttribute"
 
 
 class TestPrice:
@@ -211,6 +218,28 @@ class TestServe:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_signal_handlers_installed_before_ready_line(self, monkeypatch, capsys):
+        # a client may send SIGTERM the moment it reads the ready line
+        recorded = []
+
+        def record_print(*args, **kwargs):
+            recorded.append(signal.getsignal(signal.SIGTERM))
+            print(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ProviderServer, "serve_forever", lambda self: None)
+        monkeypatch.setattr(cli, "print", record_print, raising=False)
+        saved = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            rc = main(["serve", "--master", str(FIXTURES / "master.csv"), *fixture_args(),
+                       "--support", str(FIXTURES / "golden_support.json"), "--port", "0"])
+        finally:
+            signal.signal(signal.SIGINT, saved[0])
+            signal.signal(signal.SIGTERM, saved[1])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["ready"] is True
+        assert recorded and recorded[0] not in (signal.SIG_DFL, None)
 
     def test_malformed_hierarchy_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.json"

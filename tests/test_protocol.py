@@ -182,3 +182,27 @@ class TestSocketTransport:
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize("line, error", [
+        (b"\xff\xfe", "bad_json"),
+        (b"[" * 100_000, "bad_json"),
+        (b'{"op":"ask_price","request":{"tuple_id":"t2","attr":"MED","level":1e999},'
+         b'"tuple":{}}', "invalid_request"),
+    ], ids=["invalid_utf8", "deep_nesting", "infinite_level"])
+    def test_hostile_line_gets_one_reply_and_keeps_connection(self, master, dep_config,
+                                                              line, error):
+        factory = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")
+        server, port = start_server(factory)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                f.write(line + b'\n{"op":"info"}\n')
+                f.flush()
+                first = json.loads(f.readline())
+                second = json.loads(f.readline())
+                assert (first["ok"], first["error"]) == (False, error)
+                assert second == {"ok": True, "total_weight": 12}
+        finally:
+            server.shutdown()
+            server.server_close()

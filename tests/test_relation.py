@@ -10,18 +10,32 @@ from pacas.errors import DuplicateTupleId, StaleClass, UnknownValue
 from pacas.hierarchy import HierarchySet, generalizes, load_hierarchy
 from pacas.relation import (
     FD,
+    EquivalenceClass,
     GeneralizedRelation,
     Row,
     Schema,
-    error_count,
     generate_eqs,
     is_consistent,
     load_relation,
+    refresh_error_counts,
     resolved,
     violations,
 )
 
 PHI = FD(lhs=("GEN", "DIAG"), rhs=("MED",))
+
+
+def error_count(relation, fds, eq):
+    """Reference rule, one violation scan per class: distinct violating tuple
+    pairs that any cell of the class participates in, unioned over all FDs."""
+    for tid, _ in eq.cells:
+        relation.row(tid)  # raises StaleClass when the tuple is gone
+    pairs = set()
+    for fd, t1, t2 in violations(relation, fds):
+        involved = {(t, a) for t in (t1, t2) for a in fd.lhs + fd.rhs}
+        if involved & eq.cells:
+            pairs.add((t1, t2))
+    return len(pairs)
 
 
 class TestLoading:
@@ -123,6 +137,13 @@ class TestEquivalenceClasses:
         with pytest.raises(StaleClass):
             error_count(dirty, [PHI], target)
 
+    def test_refresh_stale_class(self, dirty):
+        eqs = generate_eqs(dirty, [PHI])
+        dirty.rows[:] = [r for r in dirty.rows if r.tid != "t1"]
+        dirty.__post_init__()
+        with pytest.raises(StaleClass):
+            refresh_error_counts(dirty, [PHI], eqs)
+
 
 # ---------------------------------------------------------------------------
 # randomized cross-checks
@@ -222,3 +243,53 @@ def test_generate_eqs_order_independent(seed):
     rng.shuffle(shuffled_rows)
     shuffled = GeneralizedRelation(rel.schema, shuffled_rows, hs)
     assert {frozenset(eq.cells) for eq in generate_eqs(shuffled, [fd])} == baseline
+
+
+def _random_fds(rng, attrs):
+    fds = []
+    for _ in range(rng.randint(1, 2)):
+        shuffled = list(attrs)
+        rng.shuffle(shuffled)
+        cut = rng.randint(1, len(shuffled) - 1)
+        fds.append(FD(lhs=tuple(shuffled[:cut]), rhs=tuple(shuffled[cut:cut + rng.randint(1, 2)])))
+    return fds
+
+
+def _assert_counts_match_rule(rel, fds, eqs):
+    refresh_error_counts(rel, fds, eqs)
+    assert [eq.error_count for eq in eqs] == [error_count(rel, fds, eq) for eq in eqs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_refresh_error_counts_matches_per_class_rule(seed):
+    hs = _tiny_hierarchies()
+    rng = random.Random(seed)
+    rel = _random_relation(rng, hs, rng.randint(2, 4), rng.randint(2, 10),
+                           allow_general=rng.random() < 0.5)
+    fds = _random_fds(rng, rel.schema.attributes)
+    eqs = generate_eqs(rel, fds)
+    _assert_counts_match_rule(rel, fds, eqs)
+    # any caller's classes count as before, even ones that share cells
+    cells = [(row.tid, a) for row in rel.rows for a in rel.schema.attributes]
+    _assert_counts_match_rule(rel, fds, [
+        EquivalenceClass(i, frozenset(rng.sample(cells, rng.randint(1, 4)))) for i in range(4)
+    ])
+    for _ in range(rng.randint(1, 4)):
+        if not eqs:
+            break
+        # as apply_repair does: one value into every cell of a class, which
+        # then leaves the list
+        eq = rng.choice(eqs)
+        attr = sorted(eq.attributes())[0]
+        value = rng.choice(sorted(v for v, lvl in hs[attr].level.items() if lvl <= 1))
+        for tid, a in eq.cells:
+            rel.row(tid).values[a] = value
+        eqs = [e for e in eqs if e is not eq]
+        _assert_counts_match_rule(rel, fds, eqs)
+    # rewrites outside the classes, LHS cells included, move the counts too
+    for _ in range(rng.randint(1, 3)):
+        row = rng.choice(rel.rows)
+        attr = rng.choice(rel.schema.attributes)
+        row.values[attr] = rng.choice(sorted(v for v, lvl in hs[attr].level.items() if lvl == 0))
+    _assert_counts_match_rule(rel, fds, eqs)
