@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import metrics
-from .anonymity import AnonymitySpec, group_sizes, is_xyl_anonymous
+from .anonymity import AnonymitySpec, group_sizes
 from .cleaner import safe_clean
 from .errors import PacasError, ProtocolError
 from .harness import AXES, InjectionPlan, SweepConfig, inject_errors, run_sweep
@@ -161,7 +161,6 @@ def cmd_check_anon(args) -> int:
     levels = _parse_levels(args.levels, len(y))
     spec = AnonymitySpec(x=x, y=y, levels=levels, k=args.k)
     sizes = group_sizes(relation, x, y, levels)
-    verdict = is_xyl_anonymous(relation, spec)
     print(json.dumps({
         "k": args.k,
         "x": list(x),
@@ -169,7 +168,7 @@ def cmd_check_anon(args) -> int:
         "levels": list(levels),
         "per_tuple": [{"tuple_id": tid, "group_size": n} for tid, n in sizes],
         "min_group_size": min((n for _, n in sizes), default=0),
-        "anonymous": verdict,
+        "anonymous": all(n >= spec.k for _, n in sizes),
     }, indent=2))
     return 0
 

@@ -37,49 +37,26 @@ _N_DIAGS = 10
 _GROUP_SIZE = 6  # tuples per (GEN, AGE) group, a window of the diagnoses
 
 
-def _med_hierarchy() -> dict:
-    nodes = [{"value": "*", "level": 4, "parent": None}]
-    for b in range(2):
-        nodes.append({"value": f"br{b}", "level": 3, "parent": "*"})
-    for c in range(4):
-        nodes.append({"value": f"cls{c}", "level": 2, "parent": f"br{c // 2}"})
-    for s in range(8):
-        nodes.append({"value": f"sub{s}", "level": 1, "parent": f"cls{s // 2}"})
-    for m in range(16):
-        nodes.append({"value": f"med{m:02d}", "level": 0, "parent": f"sub{m // 2}"})
-    return {"attribute": "MED", "levels": 5, "nodes": nodes}
+def _tree(attribute: str, *tiers: dict[str, str]) -> dict:
+    """Hierarchy document under the root "*" from child -> parent maps, one
+    per level, the level just below the root first."""
+    nodes = [{"value": "*", "level": len(tiers), "parent": None}]
+    for level, tier in zip(range(len(tiers) - 1, -1, -1), tiers):
+        nodes += [{"value": v, "level": level, "parent": p} for v, p in tier.items()]
+    return {"attribute": attribute, "levels": len(tiers) + 1, "nodes": nodes}
 
 
-def _diag_hierarchy() -> dict:
-    nodes = [{"value": "*", "level": 2, "parent": None},
-             {"value": "dgrpA", "level": 1, "parent": "*"},
-             {"value": "dgrpB", "level": 1, "parent": "*"}]
-    for d in range(_N_DIAGS):
-        parent = "dgrpA" if d < 5 else "dgrpB"
-        nodes.append({"value": f"diag{d}", "level": 0, "parent": parent})
-    return {"attribute": "DIAG", "levels": 3, "nodes": nodes}
-
-
-def _age_hierarchy() -> dict:
-    nodes = [{"value": "*", "level": 2, "parent": None},
-             {"value": "[21,22]", "level": 1, "parent": "*"},
-             {"value": "[23,24]", "level": 1, "parent": "*"}]
-    for a in _AGES:
-        parent = "[21,22]" if a in ("21", "22") else "[23,24]"
-        nodes.append({"value": a, "level": 0, "parent": parent})
-    return {"attribute": "AGE", "levels": 3, "nodes": nodes}
-
-
-def _gen_hierarchy() -> dict:
-    return {
-        "attribute": "GEN",
-        "levels": 2,
-        "nodes": [
-            {"value": "*", "level": 1, "parent": None},
-            {"value": "male", "level": 0, "parent": "*"},
-            {"value": "female", "level": 0, "parent": "*"},
-        ],
-    }
+_HIERARCHIES = (
+    _tree("GEN", {"male": "*", "female": "*"}),
+    _tree("AGE", {"[21,22]": "*", "[23,24]": "*"},
+          {a: "[21,22]" if a in ("21", "22") else "[23,24]" for a in _AGES}),
+    _tree("DIAG", {"dgrpA": "*", "dgrpB": "*"},
+          {f"diag{d}": "dgrpA" if d < 5 else "dgrpB" for d in range(_N_DIAGS)}),
+    _tree("MED", {f"br{b}": "*" for b in range(2)},
+          {f"cls{c}": f"br{c // 2}" for c in range(4)},
+          {f"sub{s}": f"cls{s // 2}" for s in range(8)},
+          {f"med{m:02d}": f"sub{m // 2}" for m in range(16)}),
+)
 
 
 @dataclass
@@ -100,7 +77,7 @@ def generate_master(seed: int = 0) -> SyntheticBundle:
     values, keeping the relation FD-consistent and (X,Y)-anonymous at k=3.
     """
     hierarchies = HierarchySet()
-    for doc in (_gen_hierarchy(), _age_hierarchy(), _diag_hierarchy(), _med_hierarchy()):
+    for doc in _HIERARCHIES:
         h = load_hierarchy(doc)
         hierarchies[h.attribute] = h
     rng = child_rng(seed, "master")

@@ -7,6 +7,9 @@ disagrees with the true answer; a sale permanently removes those members.
 Before quoting a finite price, the gate checks that every tuple's X-group
 keeps at least k ground Y-candidates across the agreeing members, so a paid
 answer never narrows a sensitive linkage below k.
+
+Each member is priced and gated from its one edited row plus the reference
+rows the query or X-group touches; only the oracles materialize instances.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .anonymity import AnonymitySpec, xgroups
-from .errors import EmptyRelation, PacasError, StalePartition
+from .errors import DuplicateTupleId, EmptyRelation, PacasError, StalePartition
 from .gquery import GeneralizedQuery, eval_gq
 from .relation import GeneralizedRelation, Row
 from .rng import child_rng
@@ -103,8 +106,6 @@ class SupportSet:
         self.reference = reference
         self.members: list[Member] = list(members)
         self.seed = seed
-        self._materialized: dict[Member, GeneralizedRelation] = {}
-        self._group_index: dict[tuple, dict] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -114,20 +115,8 @@ class SupportSet:
         return sum(m.weight for m in self.members)
 
     def materialize(self, member: Member) -> GeneralizedRelation:
-        inst = self._materialized.get(member)
-        if inst is None:
-            inst = _apply_delta(self.reference, member)
-            self._materialized[member] = inst
-        return inst
-
-    def group_index(self, member: Member, x: tuple[str, ...], y: tuple[str, ...]) -> dict:
-        """X-vector -> set of ground Y-vectors within one member instance."""
-        key = (member, x, y)
-        index = self._group_index.get(key)
-        if index is None:
-            index = xgroups(self.materialize(member).rows, x, y)
-            self._group_index[key] = index
-        return index
+        """The member's full instance; an oracle, never on the pricing path."""
+        return _apply_delta(self.reference, member)
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "members": [m.to_json() for m in self.members]}
@@ -145,21 +134,26 @@ class SupportSet:
         return cls.from_json(json.loads(Path(path).read_text()), reference)
 
 
-def _apply_delta(reference: GeneralizedRelation, member: Member) -> GeneralizedRelation:
-    rows = [Row(r.tid, dict(r.values)) for r in reference.rows]
+def _edited_rows(reference: GeneralizedRelation, member: Member) -> list[Row]:
+    """The rows the member puts in place of the reference's row `member.tid`:
+    the updated row, the inserted row, or none for a delete."""
     if member.kind == "update":
-        for row in rows:
-            if row.tid == member.tid:
-                row.values[member.attr] = member.value
-                break
-        else:
-            raise PacasError(f"update targets missing tuple {member.tid!r}")
-    elif member.kind == "delete":
-        rows = [r for r in rows if r.tid != member.tid]
-    elif member.kind == "insert":
-        rows.append(Row(member.tid, dict(member.payload or ())))
-    else:
-        raise PacasError(f"unknown member kind {member.kind!r}")
+        try:
+            row = reference._by_tid[member.tid]
+        except KeyError:
+            raise PacasError(f"update targets missing tuple {member.tid!r}") from None
+        return [Row(row.tid, {**row.values, member.attr: member.value})]
+    if member.kind == "insert":
+        if member.tid in reference._by_tid:
+            raise DuplicateTupleId(f"insert reuses tuple id {member.tid!r}")
+        return [Row(member.tid, dict(member.payload or ()))]
+    if member.kind == "delete":
+        return []
+    raise PacasError(f"unknown member kind {member.kind!r}")
+
+
+def _apply_delta(reference: GeneralizedRelation, member: Member) -> GeneralizedRelation:
+    rows = [r for r in reference.rows if r.tid != member.tid] + _edited_rows(reference, member)
     return GeneralizedRelation(schema=reference.schema, rows=rows,
                                hierarchies=reference.hierarchies)
 
@@ -237,21 +231,29 @@ def safe_price(
     side-effect free.
     """
     truth = eval_gq(q, relation)
+    ref = support.reference
+    selected = [r for r in ref.rows if all(r.values[a] == v for a, v in q.selection)]
+    edits = {member: _edited_rows(ref, member) for member in support.members}
     survivors: list[Member] = []
     conflicts: list[Member] = []
     for member in support.members:
-        if eval_gq(q, support.materialize(member)) == truth:
+        # an instance differs from the reference only in the tuple its member edits
+        rows = [r for r in selected if r.tid != member.tid] + edits[member]
+        if eval_gq(q, GeneralizedRelation(ref.schema, rows, ref.hierarchies)) == truth:
             survivors.append(member)
         else:
             conflicts.append(member)
     partition = Partition(tuple(survivors), tuple(conflicts), tuple(support.members))
     fingerprint = q.fingerprint()
     price = sum(m.weight for m in conflicts)
-    for row in relation.rows:
-        xvec = tuple(row.values[a] for a in spec.x)
+    groups: dict[tuple, list[Row]] = {}
+    for row in ref.rows:
+        groups.setdefault(tuple(row.values[a] for a in spec.x), []).append(row)
+    for xvec in dict.fromkeys(tuple(row.values[a] for a in spec.x) for row in relation.rows):
         candidates: set = set()
         for member in survivors:
-            candidates |= support.group_index(member, spec.x, spec.y).get(xvec, set())
+            rows = [r for r in groups.get(xvec, ()) if r.tid != member.tid] + edits[member]
+            candidates |= xgroups(rows, spec.x, spec.y).get(xvec, set())
             if len(candidates) >= spec.k:
                 break
         if len(candidates) < spec.k:

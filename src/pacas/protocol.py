@@ -139,7 +139,8 @@ class RemoteProvider:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
 
-    def _call(self, message: dict) -> dict:
+    def _call(self, message: dict, *fields: str) -> list:
+        """Send one request and return the named fields of its `ok` reply."""
         self._file.write((json.dumps(message) + "\n").encode("utf-8"))
         self._file.flush()
         raw = self._file.readline()
@@ -147,33 +148,41 @@ class RemoteProvider:
             raise ProtocolError("connection closed by provider")
         try:
             response = json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"undecodable provider response: {exc}") from exc
+        if not isinstance(response, dict):
+            raise ProtocolError(f"provider response is not an object: {raw[:80]!r}")
         if response.get("ok"):
-            return response
+            try:
+                return [response[name] for name in fields]
+            except KeyError as exc:
+                raise ProtocolError(f"provider reply lacks field {exc}") from None
         code = response.get("error", "protocol_error")
         exc_type = _CODE_ERRORS.get(code, ProtocolError)
         raise exc_type(response.get("detail", code))
 
     def ask_price(self, request: ValueRequest, client_tuple: dict):
-        response = self._call(
-            {"op": "ask_price", "request": request.to_json(), "tuple": dict(client_tuple)}
+        (price,) = self._call(
+            {"op": "ask_price", "request": request.to_json(), "tuple": dict(client_tuple)},
+            "price",
         )
-        return decode_price(response["price"])
+        return decode_price(price)
 
     def pay(self, price, request: ValueRequest, client_tuple: dict):
-        response = self._call(
+        value, level = self._call(
             {
                 "op": "pay",
                 "price": encode_price(price),
                 "request": request.to_json(),
                 "tuple": dict(client_tuple),
-            }
+            },
+            "value", "level",
         )
-        return response["value"], int(response["level"])
+        return value, int(level)
 
     def total_weight(self) -> int:
-        return int(self._call({"op": "info"})["total_weight"])
+        (weight,) = self._call({"op": "info"}, "total_weight")
+        return int(weight)
 
     def close(self) -> None:
         try:

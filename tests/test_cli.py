@@ -14,6 +14,7 @@ from pacas import cli
 from pacas.cli import build_parser, main
 
 from conftest import FIXTURES
+from test_protocol import stub_provider
 
 
 def fixture_args():
@@ -218,6 +219,14 @@ class TestServe:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_undecodable_provider_reply_exits_protocol_error(self, tmp_path):
+        with stub_provider(b"\xff\xfe") as port:
+            rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
+                       "--master", f"127.0.0.1:{port}", *fixture_args(),
+                       "--budget", "1", "--lmax", "0",
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
 
     def test_signal_handlers_installed_before_ready_line(self, monkeypatch, capsys):
         # a client may send SIGTERM the moment it reads the ready line

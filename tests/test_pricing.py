@@ -1,11 +1,12 @@
 """Support sets, weighted-cover pricing and the safety gate."""
 
+import json
 import random
 
 import pytest
 
-from pacas.anonymity import AnonymitySpec
-from pacas.errors import EmptyRelation, StalePartition
+from pacas.anonymity import AnonymitySpec, xgroups
+from pacas.errors import DuplicateTupleId, EmptyRelation, PacasError, StalePartition
 from pacas.gquery import GeneralizedQuery, eval_gq
 from pacas.pricing import (
     INFINITE,
@@ -18,6 +19,8 @@ from pacas.pricing import (
     safe_price,
 )
 from pacas.relation import GeneralizedRelation
+
+from conftest import FIXTURES
 
 SPEC = AnonymitySpec(x=("GEN", "AGE", "ZIP"), y=("MED",), levels=(0,), k=1)
 
@@ -158,8 +161,38 @@ class TestSafePrice:
                 xvec = tuple(t.values[a] for a in spec.x)
                 union = set()
                 for member in partition.survivors:
-                    union |= support.group_index(member, spec.x, spec.y).get(xvec, set())
+                    union |= xgroups(support.materialize(member).rows,
+                                     spec.x, spec.y).get(xvec, set())
                 assert len(union) >= spec.k
+
+
+class TestBadSnapshot:
+    """A member that cannot be applied to the reference fails every quote with
+    the error the full-copy rule raised: PacasError itself for an update of a
+    missing tuple, DuplicateTupleId for an insert that reuses a tuple id."""
+
+    QUERIES = [
+        GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,)),
+        GeneralizedQuery(("MED",), (("GEN", "female"),), (1,)),
+        GeneralizedQuery(("DIAG",), (("ZIP", "nowhere"),), (0,)),
+        GeneralizedQuery(tuple(SPEC.x), (), (0, 0, 0)),
+    ]
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"kind": "update", "tuple_id": "m99", "attr": "MED", "value": "dolex"}, PacasError),
+        ({"kind": "insert", "tuple_id": "m3", "values": {"GEN": "male", "AGE": "51",
+          "ZIP": "P0T2T0", "DIAG": "ulcer", "MED": "dolex"}}, DuplicateTupleId),
+    ], ids=["update_missing_tuple", "insert_reused_id"])
+    def test_every_quote_fails(self, master, bad, error):
+        doc = json.loads((FIXTURES / "golden_support.json").read_text())
+        doc["members"].insert(3, bad)
+        support = SupportSet.from_json(doc, master.copy())
+        for q in self.QUERIES:
+            for quote in (lambda: safe_price(q, master, support, SPEC),
+                          lambda: baseline_price(q, master, support)):
+                with pytest.raises(PacasError) as excinfo:
+                    quote()
+                assert type(excinfo.value) is error
 
 
 class TestCommitSale:

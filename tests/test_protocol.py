@@ -2,6 +2,9 @@
 
 import json
 import socket
+import socketserver
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,7 +17,7 @@ from pacas.protocol import (
     start_server,
 )
 from pacas.provider import ProviderSession, ValueRequest
-from pacas.errors import NoMatch, QuoteMismatch
+from pacas.errors import NoMatch, ProtocolError, QuoteMismatch
 
 from conftest import FIXTURES
 
@@ -203,6 +206,77 @@ class TestSocketTransport:
                 second = json.loads(f.readline())
                 assert (first["ok"], first["error"]) == (False, error)
                 assert second == {"ok": True, "total_weight": 12}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+@contextmanager
+def stub_provider(reply: bytes):
+    """A provider stand-in that answers every request line with `reply`."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            for _ in self.rfile:
+                self.wfile.write(reply + b"\n")
+                self.wfile.flush()
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestBadProviderReplies:
+    """Every malformed reply surfaces as ProtocolError, whatever call made it."""
+
+    @pytest.mark.parametrize("reply", [b"\xff\xfe", b"[1]", b"3", b'{"ok": true}'],
+                             ids=["not_utf8", "json_list", "json_number", "ok_missing_field"])
+    def test_reply_raises_protocol_error(self, reply):
+        request = ValueRequest("t2", "MED", 0)
+        with stub_provider(reply) as port:
+            remote = RemoteProvider("127.0.0.1", port)
+            try:
+                with pytest.raises(ProtocolError):
+                    remote.total_weight()
+                with pytest.raises(ProtocolError):
+                    remote.ask_price(request, T2)
+                with pytest.raises(ProtocolError):
+                    remote.pay(2, request, T2)
+            finally:
+                remote.close()
+
+
+class TestReconnect:
+    """Support sets live per connection, not per buyer: a buyer who reconnects
+    starts from a fresh support set identical to the first one, and so pays
+    the full price again for what it already bought."""
+
+    def test_reconnected_buyer_rebuys_at_full_price(self, master, dep_config):
+        factory = make_factory(master, dep_config, seed=3)
+        assert factory().support.members == factory().support.members
+        server, port = start_server(factory)
+        request = ValueRequest("t2", "MED", 0)
+        try:
+            first = RemoteProvider("127.0.0.1", port)
+            weight = first.total_weight()
+            price = first.ask_price(request, T2)
+            assert price > 0
+            bought = first.pay(price, request, T2)
+            assert first.ask_price(request, T2) == 0
+            assert first.total_weight() < weight
+            first.close()
+
+            again = RemoteProvider("127.0.0.1", port)
+            assert again.total_weight() == weight
+            assert again.ask_price(request, T2) == price
+            assert again.pay(price, request, T2) == bought
+            again.close()
         finally:
             server.shutdown()
             server.server_close()
