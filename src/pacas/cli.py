@@ -49,12 +49,13 @@ def _session_factory(args, hierarchies, config):
     master = load_relation(args.master, hierarchies, qi=config.qi, sensitive=config.sensitive)
     spec = AnonymitySpec(x=config.qi, y=config.sensitive,
                          levels=(0,) * len(config.sensitive), k=args.k)
+    if args.support:
+        built = SupportSet.load(args.support, master)
+    else:
+        built = build_support_set(master, args.support_size, args.seed)
 
     def factory() -> ProviderSession:
-        if args.support:
-            support = SupportSet.load(args.support, master.copy())
-        else:
-            support = build_support_set(master.copy(), args.support_size, args.seed)
+        support = SupportSet(master, built.members, built.seed)
         return ProviderSession(master=master, support=support, spec=spec, mds=config.mds)
 
     return factory, master

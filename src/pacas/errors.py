@@ -53,6 +53,10 @@ class StalePartition(PacasError):
     pass
 
 
+class MalformedSnapshot(PacasError):
+    pass
+
+
 class NoApplicableMD(PacasError):
     pass
 

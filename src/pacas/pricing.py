@@ -8,8 +8,12 @@ Before quoting a finite price, the gate checks that every tuple's X-group
 keeps at least k ground Y-candidates across the agreeing members, so a paid
 answer never narrows a sensitive linkage below k.
 
-Each member is priced and gated from its one edited row plus the reference
-rows the query or X-group touches; only the oracles materialize instances.
+Each member is priced from its one edited row plus the reference rows the
+query selects; only the oracles materialize instances. The gate groups the
+survivors' instances in one pass over their union. Each survivor's instance
+is the reference without the tuple it edits plus its edited rows, so the
+union is the reference minus that tuple if every survivor edits the same
+one, plus every survivor's edited rows.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from pathlib import Path
 from typing import Iterable
 
 from .anonymity import AnonymitySpec, xgroups
-from .errors import DuplicateTupleId, EmptyRelation, PacasError, StalePartition
+from .errors import (
+    DuplicateTupleId,
+    EmptyRelation,
+    MalformedSnapshot,
+    PacasError,
+    StalePartition,
+)
 from .gquery import GeneralizedQuery, eval_gq
 from .relation import GeneralizedRelation, Row
 from .rng import child_rng
@@ -69,16 +79,18 @@ class Member:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Member":
-        kind = doc["kind"]
+        kind, weight = doc["kind"], doc.get("weight", 1)
+        # a negative weight would make a price negative and refund the buyer
+        if type(weight) is not int or weight < 1:
+            raise MalformedSnapshot(f"member weight {weight!r} is not an integer >= 1")
         if kind == "update":
             return cls(kind, doc["tuple_id"], attr=doc["attr"], value=doc["value"],
-                       weight=int(doc.get("weight", 1)))
+                       weight=weight)
         if kind == "insert":
             return cls(kind, doc["tuple_id"],
-                       payload=tuple(sorted(doc["values"].items())),
-                       weight=int(doc.get("weight", 1)))
+                       payload=tuple(sorted(doc["values"].items())), weight=weight)
         if kind == "delete":
-            return cls(kind, doc["tuple_id"], weight=int(doc.get("weight", 1)))
+            return cls(kind, doc["tuple_id"], weight=weight)
         raise PacasError(f"unknown member kind {kind!r}")
 
 
@@ -126,12 +138,44 @@ class SupportSet:
 
     @classmethod
     def from_json(cls, doc: dict, reference: GeneralizedRelation) -> "SupportSet":
-        return cls(reference, [Member.from_json(m) for m in doc["members"]],
-                   seed=int(doc.get("seed", 0)))
+        """Parse a snapshot, rejecting every member the reference's schema and
+        hierarchies cannot hold. An update of a missing tuple and an insert
+        that reuses a tuple id fail at quote time instead."""
+        try:
+            members = [Member.from_json(m) for m in doc["members"]]
+            seed = int(doc.get("seed", 0))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise MalformedSnapshot(f"malformed support snapshot: {exc!r}") from None
+        for member in members:
+            _check_member(reference, member)
+        return cls(reference, members, seed=seed)
 
     @classmethod
     def load(cls, path: str | Path, reference: GeneralizedRelation) -> "SupportSet":
         return cls.from_json(json.loads(Path(path).read_text()), reference)
+
+
+def _check_member(reference: GeneralizedRelation, member: Member) -> None:
+    """Reject an edit naming an attribute outside the schema, an insert that
+    does not fill exactly the schema's attributes, and non-ground values."""
+    attrs = reference.schema.attributes
+    if member.kind == "update":
+        if member.attr not in attrs:
+            raise MalformedSnapshot(f"update of {member.tid!r} names unknown attribute "
+                                    f"{member.attr!r}")
+        values = {member.attr: member.value}
+    elif member.kind == "insert":
+        values = dict(member.payload)
+        if sorted(values) != sorted(attrs):
+            raise MalformedSnapshot(f"insert {member.tid!r} sets {sorted(values)}, "
+                                    f"not the schema's {sorted(attrs)}")
+    else:
+        return
+    for attr, value in values.items():
+        h = reference.hierarchies.for_attribute(attr)
+        if not isinstance(value, str) or h.level.get(value) != 0:
+            raise MalformedSnapshot(f"{member.kind} {member.tid!r}: {attr}={value!r} "
+                                    f"is not a ground value")
 
 
 def _edited_rows(reference: GeneralizedRelation, member: Member) -> list[Row]:
@@ -246,17 +290,13 @@ def safe_price(
     partition = Partition(tuple(survivors), tuple(conflicts), tuple(support.members))
     fingerprint = q.fingerprint()
     price = sum(m.weight for m in conflicts)
-    groups: dict[tuple, list[Row]] = {}
-    for row in ref.rows:
-        groups.setdefault(tuple(row.values[a] for a in spec.x), []).append(row)
-    for xvec in dict.fromkeys(tuple(row.values[a] for a in spec.x) for row in relation.rows):
-        candidates: set = set()
-        for member in survivors:
-            rows = [r for r in groups.get(xvec, ()) if r.tid != member.tid] + edits[member]
-            candidates |= xgroups(rows, spec.x, spec.y).get(xvec, set())
-            if len(candidates) >= spec.k:
-                break
-        if len(candidates) < spec.k:
+    # a reference tuple is missing from the union only if every survivor edits it
+    tids = {m.tid for m in survivors}
+    dropped = tids if len(tids) == 1 else ()
+    union = [r for r in ref.rows if r.tid not in dropped] if survivors else []
+    candidates = xgroups(union + [r for m in survivors for r in edits[m]], spec.x, spec.y)
+    for row in relation.rows:
+        if len(candidates.get(tuple(row.values[a] for a in spec.x), ())) < spec.k:
             return PriceQuote(INFINITE, fingerprint), partition
     return PriceQuote(price, fingerprint), partition
 

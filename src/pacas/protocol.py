@@ -3,11 +3,11 @@
 One JSON object per line, UTF-8, unknown fields ignored. Ops:
 
   -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{...}}
-  <- {"ok":true,"price":number|"infinite"}
-  -> {"op":"pay","price":number,"request":{...},"tuple":{...}}
+  <- {"ok":true,"price":int|"infinite"}
+  -> {"op":"pay","price":int,"request":{...},"tuple":{...}}
   <- {"ok":true,"value":str,"level":int} | {"ok":false,"error":code}
   -> {"op":"info"}
-  <- {"ok":true,"total_weight":number}
+  <- {"ok":true,"total_weight":int}
 
 The embedded handle and the socket handle expose the same three calls so the
 cleaner cannot observe the transport.
@@ -132,6 +132,10 @@ class EmbeddedProvider:
         pass
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true or false decodes to a bool, an int subclass
+
+
 class RemoteProvider:
     """Socket handle speaking the NDJSON protocol."""
 
@@ -139,8 +143,9 @@ class RemoteProvider:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
 
-    def _call(self, message: dict, *fields: str) -> list:
-        """Send one request and return the named fields of its `ok` reply."""
+    def _call(self, message: dict, **checks: Callable[[object], bool]) -> list:
+        """Send one request and return the named fields of its `ok` reply,
+        each of which must pass its check."""
         self._file.write((json.dumps(message) + "\n").encode("utf-8"))
         self._file.flush()
         raw = self._file.readline()
@@ -154,9 +159,14 @@ class RemoteProvider:
             raise ProtocolError(f"provider response is not an object: {raw[:80]!r}")
         if response.get("ok"):
             try:
-                return [response[name] for name in fields]
+                values = [response[name] for name in checks]
             except KeyError as exc:
                 raise ProtocolError(f"provider reply lacks field {exc}") from None
+            for (name, check), value in zip(checks.items(), values):
+                if not check(value):
+                    raise ProtocolError(
+                        f"provider reply field {name!r} is ill-typed: {value!r:.80}")
+            return values
         code = response.get("error", "protocol_error")
         exc_type = _CODE_ERRORS.get(code, ProtocolError)
         raise exc_type(response.get("detail", code))
@@ -164,7 +174,7 @@ class RemoteProvider:
     def ask_price(self, request: ValueRequest, client_tuple: dict):
         (price,) = self._call(
             {"op": "ask_price", "request": request.to_json(), "tuple": dict(client_tuple)},
-            "price",
+            price=lambda v: v == "infinite" or _is_int(v),
         )
         return decode_price(price)
 
@@ -176,13 +186,13 @@ class RemoteProvider:
                 "request": request.to_json(),
                 "tuple": dict(client_tuple),
             },
-            "value", "level",
+            value=lambda v: isinstance(v, str), level=_is_int,
         )
-        return value, int(level)
+        return value, level
 
     def total_weight(self) -> int:
-        (weight,) = self._call({"op": "info"}, "total_weight")
-        return int(weight)
+        (weight,) = self._call({"op": "info"}, total_weight=_is_int)
+        return weight
 
     def close(self) -> None:
         try:

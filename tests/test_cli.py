@@ -12,9 +12,10 @@ import pytest
 
 from pacas import cli
 from pacas.cli import build_parser, main
+from pacas.provider import ValueRequest
 
 from conftest import FIXTURES
-from test_protocol import stub_provider
+from test_protocol import T2, stub_provider
 
 
 def fixture_args():
@@ -22,6 +23,32 @@ def fixture_args():
         "--hierarchies", str(FIXTURES / "hierarchies.json"),
         "--config", str(FIXTURES / "config.json"),
     ]
+
+
+class TestSessionFactory:
+    """The support set is built or loaded once per process; every session
+    starts from its members and sells from its own copy."""
+
+    @pytest.mark.parametrize("support", [
+        ["--support", str(FIXTURES / "golden_support.json")],
+        ["--support-size", "10", "--seed", "3"],
+    ], ids=["snapshot", "built"])
+    def test_sessions_are_independent(self, support):
+        args = build_parser().parse_args(["serve", "--master", str(FIXTURES / "master.csv"),
+                                          *fixture_args(), *support])
+        factory, master = cli._session_factory(args, *cli._load_inputs(args))
+        rows = master.to_csv()
+        first, second = factory(), factory()
+        assert first.support.members == second.support.members
+        request = ValueRequest("t2", "MED", 0)
+        weight, price = second.total_weight, second.ask_price(request, T2)
+        assert price > 0
+        first.pay(first.ask_price(request, T2), request, T2)
+        assert first.total_weight < weight
+        assert second.total_weight == weight
+        assert second.ask_price(request, T2) == price
+        assert factory().total_weight == weight
+        assert master.to_csv() == rows
 
 
 class TestCheckAnon:
@@ -227,6 +254,31 @@ class TestServe:
                        "--budget", "1", "--lmax", "0",
                        "--out", str(tmp_path / "r.csv")])
         assert rc == 3
+
+    def test_ill_typed_provider_reply_exits_protocol_error(self, tmp_path):
+        with stub_provider(b'{"ok": true, "total_weight": "abc"}') as port:
+            rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
+                       "--master", f"127.0.0.1:{port}", *fixture_args(),
+                       "--budget", "1", "--lmax", "0",
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+
+    def test_bad_snapshot_exits_before_ready_line(self, tmp_path):
+        doc = json.loads((FIXTURES / "golden_support.json").read_text())
+        doc["members"].append({"kind": "update", "tuple_id": "m1", "attr": "ZZZ",
+                               "value": "dolex"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pacas.cli", "serve",
+             "--master", str(FIXTURES / "master.csv"), *fixture_args(),
+             "--support", str(bad), "--port", "0"],
+            capture_output=True, env=env, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "MalformedSnapshot"
 
     def test_signal_handlers_installed_before_ready_line(self, monkeypatch, capsys):
         # a client may send SIGTERM the moment it reads the ready line

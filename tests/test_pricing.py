@@ -5,8 +5,14 @@ import random
 
 import pytest
 
-from pacas.anonymity import AnonymitySpec, xgroups
-from pacas.errors import DuplicateTupleId, EmptyRelation, PacasError, StalePartition
+from pacas.anonymity import AnonymitySpec, is_safe_query, xgroups
+from pacas.errors import (
+    DuplicateTupleId,
+    EmptyRelation,
+    MalformedSnapshot,
+    PacasError,
+    StalePartition,
+)
 from pacas.gquery import GeneralizedQuery, eval_gq
 from pacas.pricing import (
     INFINITE,
@@ -18,9 +24,10 @@ from pacas.pricing import (
     is_infinite,
     safe_price,
 )
-from pacas.relation import GeneralizedRelation
+from pacas.relation import GeneralizedRelation, Row, Schema
 
 from conftest import FIXTURES
+from test_anonymity import fanout2_hierarchies
 
 SPEC = AnonymitySpec(x=("GEN", "AGE", "ZIP"), y=("MED",), levels=(0,), k=1)
 
@@ -164,6 +171,107 @@ class TestSafePrice:
                     union |= xgroups(support.materialize(member).rows,
                                      spec.x, spec.y).get(xvec, set())
                 assert len(union) >= spec.k
+
+
+class TestGateUnion:
+    """The gate groups the union of the survivors' instances. A reference
+    tuple is missing from that union only when every survivor edits it."""
+
+    SPEC = AnonymitySpec(x=("P",), y=("S",), levels=(0,), k=3)
+    # group P*.0.0 holds S values a, b and c (S*.0.0, S*.0.1, S*.1.0), and c sits
+    # only on t3; group P*.1.1 holds three S values no member touches
+    ROWS = [("t1", "P*.0.0", "S*.0.0"), ("t2", "P*.0.0", "S*.0.1"),
+            ("t3", "P*.0.0", "S*.1.0"), ("t4", "P*.1.1", "S*.0.0"),
+            ("t5", "P*.1.1", "S*.0.1"), ("t6", "P*.1.1", "S*.1.0")]
+    QUERY = GeneralizedQuery(("S",), (("P", "P*.1.1"),), (0,))
+
+    def quote(self, members):
+        """(quote, survivor count, is_safe_query over the members' instances)"""
+        relation = GeneralizedRelation(
+            Schema(attributes=("P", "Q", "S")),
+            [Row(tid, {"P": p, "Q": "Q*.0.0", "S": s}) for tid, p, s in self.ROWS],
+            fanout2_hierarchies(),
+        )
+        support = SupportSet(relation, members)
+        quote, partition = safe_price(self.QUERY, relation, support, self.SPEC)
+        safe = is_safe_query(self.QUERY, relation,
+                             [support.materialize(m) for m in members], self.SPEC)
+        return quote, len(partition.survivors), safe
+
+    def test_tuple_every_survivor_edits_leaves_the_union(self):
+        # both survivors drop c: one deletes t3, the other rewrites it to a
+        quote, survivors, safe = self.quote([Member("delete", "t3"),
+                                             Member("update", "t3", attr="S", value="S*.0.0")])
+        assert survivors == 2
+        assert quote.infinite
+        assert safe is False
+
+    def test_tuple_kept_by_some_survivor_stays_in_the_union(self):
+        quote, survivors, safe = self.quote([Member("delete", "t3"),
+                                             Member("update", "t3", attr="S", value="S*.0.0"),
+                                             Member("delete", "t1")])
+        assert survivors == 3
+        assert quote.amount == 0
+        assert safe is True
+
+    def test_no_survivors_leave_an_empty_union(self):
+        # the one member changes the answer, so no instance is left to hide in
+        quote, survivors, safe = self.quote([Member("update", "t4", attr="S", value="S*.1.1")])
+        assert survivors == 0
+        assert quote.infinite
+        assert safe is False
+
+
+class TestSnapshotChecks:
+    """A snapshot member the reference's schema or hierarchies cannot hold is
+    rejected when the snapshot is read, before any quote."""
+
+    GROUND = {"GEN": "male", "AGE": "51", "ZIP": "P0T2T0", "DIAG": "ulcer",
+              "MED": "dolex"}
+
+    @pytest.mark.parametrize("bad", [
+        {"kind": "update", "tuple_id": "m1", "attr": "MED"},
+        {"kind": "update", "attr": "MED", "value": "dolex"},
+        {"tuple_id": "m1"},
+        {"kind": "insert", "tuple_id": "+1"},
+        {"kind": "update", "tuple_id": "m1", "attr": "ZZZ", "value": "dolex"},
+        {"kind": "insert", "tuple_id": "+1", "values": {**GROUND, "ZZZ": "x"}},
+        {"kind": "insert", "tuple_id": "+1",
+         "values": {a: v for a, v in GROUND.items() if a != "ZIP"}},
+        {"kind": "update", "tuple_id": "m1", "attr": "MED", "value": "NSAID"},
+        {"kind": "update", "tuple_id": "m1", "attr": "MED", "value": "zzz"},
+        {"kind": "update", "tuple_id": "m1", "attr": "AGE", "value": 51},
+        {"kind": "insert", "tuple_id": "+1", "values": {**GROUND, "AGE": "[31,60]"}},
+        {"kind": "delete", "tuple_id": "m1", "weight": 0},
+        {"kind": "delete", "tuple_id": "m1", "weight": -2},
+        {"kind": "delete", "tuple_id": "m1", "weight": "2"},
+        {"kind": "delete", "tuple_id": "m1", "weight": 1.5},
+        {"kind": "delete", "tuple_id": "m1", "weight": True},
+    ], ids=["update_lacks_value", "update_lacks_tuple_id", "lacks_kind",
+            "insert_lacks_values", "update_unknown_attr", "insert_extra_attr",
+            "insert_missing_attr", "update_generalized_value", "update_unknown_value",
+            "update_non_string_value", "insert_generalized_value", "weight_zero",
+            "weight_negative", "weight_string", "weight_float", "weight_bool"])
+    def test_rejected_at_load(self, master, bad):
+        doc = json.loads((FIXTURES / "golden_support.json").read_text())
+        doc["members"].insert(3, bad)
+        with pytest.raises(MalformedSnapshot):
+            SupportSet.from_json(doc, master)
+
+    @pytest.mark.parametrize("doc", [{"seed": 0}, [], {"members": [], "seed": "x"}],
+                             ids=["lacks_members", "not_an_object", "seed_not_int"])
+    def test_bad_document_rejected(self, master, doc):
+        with pytest.raises(MalformedSnapshot):
+            SupportSet.from_json(doc, master)
+
+    def test_valid_members_load(self, master):
+        doc = {"members": [
+            {"kind": "update", "tuple_id": "m1", "attr": "MED", "value": "dolex"},
+            {"kind": "insert", "tuple_id": "+1", "values": self.GROUND, "weight": 3},
+            {"kind": "delete", "tuple_id": "m2", "weight": 2},
+        ]}
+        support = SupportSet.from_json(doc, master)
+        assert [m.weight for m in support.members] == [1, 3, 2]
 
 
 class TestBadSnapshot:

@@ -235,8 +235,14 @@ def stub_provider(reply: bytes):
 class TestBadProviderReplies:
     """Every malformed reply surfaces as ProtocolError, whatever call made it."""
 
-    @pytest.mark.parametrize("reply", [b"\xff\xfe", b"[1]", b"3", b'{"ok": true}'],
-                             ids=["not_utf8", "json_list", "json_number", "ok_missing_field"])
+    @pytest.mark.parametrize("reply", [
+        b"\xff\xfe", b"[1]", b"3", b'{"ok": true}',
+        b'{"ok": true, "total_weight": "abc", "price": "cheap", "value": 5, "level": 0}',
+        b'{"ok": true, "total_weight": true, "price": false, "value": "x", "level": true}',
+        b'{"ok": true, "total_weight": 1.5, "price": 2.5, "value": "x", "level": "0"}',
+        b'{"ok": true, "total_weight": null, "price": null, "value": null, "level": 0}',
+    ], ids=["not_utf8", "json_list", "json_number", "ok_missing_field",
+            "ill_typed_strings", "ill_typed_bools", "ill_typed_floats", "ill_typed_nulls"])
     def test_reply_raises_protocol_error(self, reply):
         request = ValueRequest("t2", "MED", 0)
         with stub_provider(reply) as port:
