@@ -32,9 +32,6 @@ class AnonymitySpec:
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
-    def ground_levels(self) -> tuple[int, ...]:
-        return tuple(0 for _ in self.y)
-
 
 def xgroups(rows: Iterable[Row], x: Sequence[str], y: Sequence[str]) -> dict[tuple, set[tuple]]:
     """X-vector -> set of Y-vectors co-occurring with it, in one pass."""
@@ -78,7 +75,7 @@ def ground_candidates(
     relation_tuples: Iterable[GeneralizedRelation], row, spec: AnonymitySpec
 ) -> frozenset[tuple[str, ...]]:
     """Ground Y-candidates for the row's X-group across a set of instances."""
-    probe = xgroup_query(row, spec.x, spec.y, spec.ground_levels())
+    probe = xgroup_query(row, spec.x, spec.y, (0,) * len(spec.y))
     union: set[tuple[str, ...]] = set()
     for inst in relation_tuples:
         union |= eval_ground(probe, inst)

@@ -47,9 +47,6 @@ class RepairSession:
     eqs: list[EquivalenceClass]
     purchases: list[dict] = field(default_factory=list)
 
-    def cap(self, attribute: str) -> int:
-        return self.l_max[attribute]
-
 
 def start_session(
     relation: GeneralizedRelation,
@@ -57,14 +54,19 @@ def start_session(
     budget: Fraction,
     l_max: int | Mapping[str, int],
 ) -> RepairSession:
+    """Copy the relation and cluster its classes. Attributes a cap map omits
+    get cap 0; a cap on an unknown attribute or below 0 is rejected."""
+    attrs = relation.schema.attributes
+    wanted = dict.fromkeys(attrs, l_max) if isinstance(l_max, int) else l_max
+    caps = {}
+    for attr, cap in {**dict.fromkeys(attrs, 0), **wanted}.items():
+        relation.schema.require(attr)
+        if int(cap) < 0:
+            raise LevelCapViolation(f"level cap {cap} on {attr!r} is negative")
+        caps[attr] = min(int(cap), relation.hierarchies.for_attribute(attr).height)
     working = relation.copy()
     eqs = [eq for eq in generate_eqs(working, fds) if not resolved(working, eq)]
     refresh_error_counts(working, fds, eqs)
-    caps = {}
-    for attr in working.schema.attributes:
-        height = working.hierarchies.for_attribute(attr).height
-        wanted = l_max if isinstance(l_max, int) else int(l_max.get(attr, 0))
-        caps[attr] = min(wanted, height)
     return RepairSession(
         relation=working,
         fds=fds,
@@ -103,7 +105,7 @@ def lowest_affordable_level(
     within budget, or None. Quotes are free, one per level."""
     tid, attr = cell
     host = session.relation.row(tid)
-    for level in range(0, session.cap(attr) + 1):
+    for level in range(0, session.l_max[attr] + 1):
         request = ValueRequest(tid, attr, level)
         try:
             price = provider.ask_price(request, host.values)
@@ -146,8 +148,8 @@ def apply_repair(session: RepairSession, eq: EquivalenceClass, value: str, level
     and refresh the surviving error counts."""
     attrs = eq.attributes()
     for attr in attrs:
-        if level > session.cap(attr):
-            raise LevelCapViolation(f"level {level} exceeds cap {session.cap(attr)} on {attr!r}")
+        if level > session.l_max[attr]:
+            raise LevelCapViolation(f"level {level} exceeds cap {session.l_max[attr]} on {attr!r}")
         h = session.relation.hierarchies.for_attribute(attr)
         if value not in h:
             raise UnknownValue(f"repair value {value!r} missing from {attr!r} hierarchy")
@@ -267,12 +269,7 @@ def repair_buckets(
     for purchase in session.purchases:
         value = purchase["value"]
         for tid, attr in purchase["cells"]:
-            table = ctx.tables[attr]
-            v_true = truth.row(tid).values[attr]
-            bucket = metrics.normalized_bucket(
-                table.dist, table.hierarchy, v_true, value, table=table
-            )
-            counts[bucket] += 1
+            counts[ctx.tables[attr].bucket(truth.row(tid).values[attr], value)] += 1
             total += 1
     if total == 0:
         return {b: 0.0 for b in metrics.BUCKETS}

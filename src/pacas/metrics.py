@@ -2,8 +2,8 @@
 
 The penalty of a value v is E(v) = P(X in base(v)) * H(X | X in base(v)),
 with X drawn empirically from a reference ground relation and entropy in
-bits. Distance between comparable values is the penalty difference; between
-incomparable values it is routed through their least common ancestor.
+bits. The distance between two values is routed through their least common
+ancestor; for comparable values that is their penalty difference.
 """
 
 from __future__ import annotations
@@ -71,21 +71,45 @@ class PenaltyTable:
         self.hierarchy.require(value)
         return self._table[value]
 
+    def distance(self, a: str, b: str) -> float:
+        """Semantic distance delta(a, b), routed through the LCA; symmetric and
+        non-negative. For comparable values the LCA is the upper one, whose
+        term is 0.0, so this is their penalty difference."""
+        anc = self._table[hi.lca(self.hierarchy, a, b)]
+        return abs(anc - self._table[a]) + abs(anc - self._table[b])
+
+    def bucket(self, v_true: str, v_repair: str) -> str:
+        """Bucket of delta(true, repair) / delta(true, root); 0/0 lands in the
+        first bucket and ratios above 1 are clamped into the last."""
+        if self.hierarchy.level_of(v_true) != 0:
+            raise UnknownValue(f"{self.hierarchy.attribute}: {v_true!r} is not a ground value")
+        num = self.distance(v_true, v_repair)
+        den = self.distance(v_true, self.hierarchy.root)
+        if den == 0:
+            return BUCKETS[0]
+        ratio = min(num / den, 1.0)
+        if ratio <= 0.25:
+            return BUCKETS[0]
+        if ratio <= 0.5:
+            return BUCKETS[1]
+        if ratio <= 0.75:
+            return BUCKETS[2]
+        return BUCKETS[3]
+
 
 def penalty(dist: Distribution, h: hi.Hierarchy, value: str) -> float:
     """E(v); zero for ground values and for values with no empirical mass."""
     return PenaltyTable(dist, h).penalty(value)
 
 
-def distance(dist: Distribution, h: hi.Hierarchy, a: str, b: str, table: PenaltyTable | None = None) -> float:
+def distance(dist: Distribution, h: hi.Hierarchy, a: str, b: str) -> float:
     """Semantic distance delta(a, b); symmetric and non-negative."""
-    table = table or PenaltyTable(dist, h)
-    h.require(a)
-    h.require(b)
-    if hi.generalizes(h, a, b) or hi.generalizes(h, b, a):
-        return abs(table.penalty(b) - table.penalty(a))
-    anc = hi.lca(h, a, b)
-    return abs(table.penalty(anc) - table.penalty(a)) + abs(table.penalty(anc) - table.penalty(b))
+    return PenaltyTable(dist, h).distance(a, b)
+
+
+def normalized_bucket(dist: Distribution, h: hi.Hierarchy, v_true: str, v_repair: str) -> str:
+    """Bucket of delta(true, repair) / delta(true, root)."""
+    return PenaltyTable(dist, h).bucket(v_true, v_repair)
 
 
 class MetricContext:
@@ -98,8 +122,7 @@ class MetricContext:
             self.tables[attr] = PenaltyTable(dist, reference.hierarchies.for_attribute(attr))
 
     def cell_distance(self, attribute: str, a: str, b: str) -> float:
-        t = self.tables[attribute]
-        return distance(t.dist, t.hierarchy, a, b, table=t)
+        return self.tables[attribute].distance(a, b)
 
 
 def tuple_distance(ctx: MetricContext, row_a, row_b, attributes: tuple[str, ...]) -> float:
@@ -120,25 +143,3 @@ def relation_distance(ctx: MetricContext, rel_a, rel_b) -> float:
         tuple_distance(ctx, ra, rb, attrs) for ra, rb in zip(rel_a.rows, rel_b.rows)
     )
 
-
-def normalized_bucket(
-    dist: Distribution, h: hi.Hierarchy, v_true: str, v_repair: str,
-    table: PenaltyTable | None = None,
-) -> str:
-    """Bucket of delta(true, repair) / delta(true, root); 0/0 lands in the first
-    bucket and ratios above 1 are clamped into the last."""
-    if h.level_of(v_true) != 0:
-        raise UnknownValue(f"{h.attribute}: {v_true!r} is not a ground value")
-    table = table or PenaltyTable(dist, h)
-    num = distance(dist, h, v_true, v_repair, table=table)
-    den = distance(dist, h, v_true, h.root, table=table)
-    if den == 0:
-        return BUCKETS[0]
-    ratio = min(num / den, 1.0)
-    if ratio <= 0.25:
-        return BUCKETS[0]
-    if ratio <= 0.5:
-        return BUCKETS[1]
-    if ratio <= 0.75:
-        return BUCKETS[2]
-    return BUCKETS[3]

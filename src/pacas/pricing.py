@@ -8,8 +8,9 @@ Before quoting a finite price, the gate checks that every tuple's X-group
 keeps at least k ground Y-candidates across the agreeing members, so a paid
 answer never narrows a sensitive linkage below k.
 
-Each member is priced from its one edited row plus the reference rows the
-query selects; only the oracles materialize instances. The gate groups the
+A quote reads only the support set. The true answer comes from the reference
+rows the query selects, and each member's from those rows plus its one edited
+row; only the oracles materialize instances. The gate groups the
 survivors' instances in one pass over their union. Each survivor's instance
 is the reference without the tuple it edits plus its edited rows, so the
 union is the reference minus that tuple if every survivor edits the same
@@ -38,13 +39,6 @@ from .rng import child_rng
 
 class Infinite:
     """Sentinel for unsafe quotes; deliberately supports no arithmetic."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "INFINITE"
@@ -262,21 +256,22 @@ def baseline_price(q: GeneralizedQuery, relation: GeneralizedRelation, support: 
 
 def safe_price(
     q: GeneralizedQuery,
-    relation: GeneralizedRelation,
     support: SupportSet,
     spec: AnonymitySpec,
 ) -> tuple[PriceQuote, Partition]:
     """Price a query and gate it on the buyer's residual uncertainty.
 
-    Members disagreeing with the true answer form the conflict set and sum to
-    the price. A finite quote additionally requires, for every tuple of the
-    true relation, at least k ground Y-candidates for its X-group across the
-    agreeing members. INFINITE quotes are values, not errors, and must stay
-    side-effect free.
+    A quote reads only the support set: the truth is the query's answer over
+    its reference, and members disagreeing with it form the conflict set and
+    sum to the price. A finite quote also requires, for every reference tuple,
+    at least k ground Y-candidates for its X-group across the agreeing members.
+    INFINITE quotes are values, not errors, and must stay side-effect free.
     """
-    truth = eval_gq(q, relation)
     ref = support.reference
+    for attr in (*q.projection, *(a for a, _ in q.selection)):
+        ref.schema.require(attr)
     selected = [r for r in ref.rows if all(r.values[a] == v for a, v in q.selection)]
+    truth = eval_gq(q, GeneralizedRelation(ref.schema, selected, ref.hierarchies))
     edits = {member: _edited_rows(ref, member) for member in support.members}
     survivors: list[Member] = []
     conflicts: list[Member] = []
@@ -295,7 +290,7 @@ def safe_price(
     dropped = tids if len(tids) == 1 else ()
     union = [r for r in ref.rows if r.tid not in dropped] if survivors else []
     candidates = xgroups(union + [r for m in survivors for r in edits[m]], spec.x, spec.y)
-    for row in relation.rows:
+    for row in ref.rows:
         if len(candidates.get(tuple(row.values[a] for a in spec.x), ())) < spec.k:
             return PriceQuote(INFINITE, fingerprint), partition
     return PriceQuote(price, fingerprint), partition

@@ -1,6 +1,7 @@
 """Newline-delimited JSON transport for the provider endpoints.
 
-One JSON object per line, UTF-8, unknown fields ignored. Ops:
+One JSON object per line, UTF-8, unknown fields ignored. A `request` field
+of another type than shown (a bool is not an int) gets invalid_request. Ops:
 
   -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{...}}
   <- {"ok":true,"price":int|"infinite"}
@@ -40,6 +41,8 @@ _ERROR_CODES = {
 }
 
 _CODE_ERRORS = {code: exc for exc, code in _ERROR_CODES.items()}
+
+_TIMEOUT_S = 30.0  # seconds a connect or a reply may take
 
 
 def encode_price(amount) -> object:
@@ -139,8 +142,8 @@ def _is_int(value) -> bool:
 class RemoteProvider:
     """Socket handle speaking the NDJSON protocol."""
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=_TIMEOUT_S)
         self._file = self._sock.makefile("rwb")
 
     def _call(self, message: dict, **checks: Callable[[object], bool]) -> list:

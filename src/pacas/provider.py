@@ -31,7 +31,11 @@ class ValueRequest:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ValueRequest":
-        return cls(str(doc["tuple_id"]), str(doc["attr"]), int(doc["level"]))
+        """Parse a request as sent: `tuple_id` and `attr` str, `level` int."""
+        tid, attr, level = doc["tuple_id"], doc["attr"], doc["level"]
+        if not (isinstance(tid, str) and isinstance(attr, str) and type(level) is int):
+            raise ValueError(f"ill-typed request {doc!r:.120}")
+        return cls(tid, attr, level)
 
 
 def translate_request(
@@ -82,7 +86,7 @@ class ProviderSession:
             raise UnknownValue(
                 f"level {request.level} outside [0, {height}] for {q.projection[0]!r}"
             )
-        return q, safe_price(q, self.master, self.support, self.spec)
+        return q, safe_price(q, self.support, self.spec)
 
     def ask_price(self, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Quote a request; records the quote, never mutates the support set."""

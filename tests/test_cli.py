@@ -165,6 +165,24 @@ class TestClean:
         rows = (tmp_path / "repaired.csv").read_text().splitlines()
         assert rows[1].split(",")[-1] == "NSAID"
 
+    @pytest.mark.parametrize("lmax, error", [
+        ("MEDX=1", "UnknownAttribute"),
+        ("MED=1,MEDX=0", "UnknownAttribute"),
+        ("MED=-3", "LevelCapViolation"),
+        ("-1", "LevelCapViolation"),
+    ], ids=["unknown_attribute", "unknown_beside_known", "negative_attribute_cap",
+            "negative_global_cap"])
+    def test_unusable_level_cap_exit_code(self, capsys, tmp_path, lmax, error):
+        """A cap the session cannot apply is an input error, not ignored."""
+        rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
+                   "--master", str(FIXTURES / "master.csv"), *fixture_args(),
+                   "--budget", "1", "--lmax", lmax, "--k", "3",
+                   "--support", str(FIXTURES / "golden_support.json"),
+                   "--out", str(tmp_path / "repaired.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not (tmp_path / "repaired.csv").exists()
+
     def test_per_attribute_level_cap(self, capsys, tmp_path):
         rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
                    "--master", str(FIXTURES / "master.csv"), *fixture_args(),
@@ -174,6 +192,24 @@ class TestClean:
         assert rc == 0
         rows = (tmp_path / "repaired.csv").read_text().splitlines()
         assert rows[1].split(",")[-1] == "NSAID"
+
+    @pytest.mark.parametrize("lmax, error", [
+        ("MEDX=1", "UnknownAttribute"),
+        ("MED=1,MEDX=0", "UnknownAttribute"),
+        ("MED=-3", "LevelCapViolation"),
+        ("-1", "LevelCapViolation"),
+    ], ids=["unknown_attribute", "unknown_beside_known", "negative_attribute_cap",
+            "negative_global_cap"])
+    def test_unusable_level_cap_exit_code(self, capsys, tmp_path, lmax, error):
+        """A cap the session cannot apply is an input error, not ignored."""
+        rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),
+                   "--master", str(FIXTURES / "master.csv"), *fixture_args(),
+                   "--budget", "1", "--lmax", lmax, "--k", "3",
+                   "--support", str(FIXTURES / "golden_support.json"),
+                   "--out", str(tmp_path / "repaired.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not (tmp_path / "repaired.csv").exists()
 
 
 class TestEval:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacas.errors import UnknownValue
-from pacas.hierarchy import ancestors, load_hierarchy
+from pacas.hierarchy import ancestors, generalizes, lca, load_hierarchy
 from pacas.metrics import (
     BUCKETS,
     Distribution,
@@ -175,11 +175,36 @@ def test_path_additivity_and_comparable_difference(payload, data):
     w = data.draw(st.sampled_from(chain))
     v = data.draw(st.sampled_from(ancestors(h, w)))
     # u <= w <= v along one chain
-    d_uv = distance(dist, h, u, v, table=table)
-    d_uw = distance(dist, h, u, w, table=table)
-    d_wv = distance(dist, h, w, v, table=table)
+    d_uv = table.distance(u, v)
+    d_uw = table.distance(u, w)
+    d_wv = table.distance(w, v)
     assert d_uv == pytest.approx(d_uw + d_wv, abs=1e-9)
     assert d_uv == pytest.approx(table.penalty(v) - table.penalty(u), abs=1e-9)
+
+
+def two_branch_distance(table, a, b):
+    """The rule `distance` followed before it routed every pair through the
+    LCA: the penalty difference for comparable values, the LCA route otherwise."""
+    h = table.hierarchy
+    if generalizes(h, a, b) or generalizes(h, b, a):
+        return abs(table.penalty(b) - table.penalty(a))
+    anc = lca(h, a, b)
+    return abs(table.penalty(anc) - table.penalty(a)) + abs(table.penalty(anc) - table.penalty(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=tree_and_counts())
+def test_distance_equals_two_branch_rule_bit_for_bit(payload):
+    doc, counts = payload
+    h = load_hierarchy(doc)
+    dist = Distribution(attribute="A", counts=counts, total=sum(counts.values()))
+    table = PenaltyTable(dist, h)
+    values = sorted(h.level)
+    for a in values:
+        for b in values:
+            assert table.distance(a, b) == two_branch_distance(table, a, b), (a, b)
+    assert distance(dist, h, values[0], values[-1]) == \
+        two_branch_distance(table, values[0], values[-1])
 
 
 _FLAT_PENALTY = """

@@ -12,6 +12,7 @@ from pacas.errors import (
     MalformedSnapshot,
     PacasError,
     StalePartition,
+    UnknownAttribute,
 )
 from pacas.gquery import GeneralizedQuery, eval_gq
 from pacas.pricing import (
@@ -94,19 +95,19 @@ class TestSafePrice:
         # ground candidates visible across the agreeing members
         spec = AnonymitySpec(x=("GEN", "AGE", "ZIP"), y=("MED",), levels=(0,), k=4)
         q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (1,))
-        quote, _ = safe_price(q, master, golden_support, spec)
+        quote, _ = safe_price(q, golden_support, spec)
         assert quote.infinite
 
     def test_agreeing_members_price_zero(self, master, golden_support):
         spec = AnonymitySpec(x=("GEN", "AGE", "ZIP"), y=("MED",), levels=(0,), k=3)
         q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (1,))
-        quote, partition = safe_price(q, master, golden_support, spec)
+        quote, partition = safe_price(q, golden_support, spec)
         assert quote.amount == 0
         assert len(partition.survivors) == len(golden_support)
 
     def test_split_prices_conflict_weight(self, master, golden_support):
         q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
-        quote, partition = safe_price(q, master, golden_support, SPEC)
+        quote, partition = safe_price(q, golden_support, SPEC)
         assert quote.amount == 2  # the two m1 MED variants disagree at ground
         assert len(partition.conflicts) == 2
 
@@ -121,7 +122,7 @@ class TestSafePrice:
         ]
         support = SupportSet(public, members)
         q = GeneralizedQuery(("MED",), (("ZIP", "P*"),), (0,))
-        quote, partition = safe_price(q, public, support, spec)
+        quote, partition = safe_price(q, support, spec)
         assert quote.amount == 0
         assert len(partition.conflicts) == 0
 
@@ -141,16 +142,24 @@ class TestSafePrice:
         support = SupportSet(public, disagree + agree)
         assert len(support) == 10
         q = GeneralizedQuery(("MED",), (("DIAG", "osteoarthritis"),), (0,))
-        quote, partition = safe_price(q, public, support, spec)
+        quote, partition = safe_price(q, support, spec)
         assert quote.amount == 4
         assert len(partition.conflicts) == 4
 
     def test_finite_branch_equals_baseline(self, master):
         support = build_support_set(master, 12, seed=21)
         q = GeneralizedQuery(("MED",), (("GEN", "female"),), (1,))
-        quote, _ = safe_price(q, master, support, SPEC)
+        quote, _ = safe_price(q, support, SPEC)
         if not quote.infinite:
             assert quote.amount == baseline_price(q, master, support)
+
+    @pytest.mark.parametrize("q", [
+        GeneralizedQuery(("MED",), (("GEN", "male"), ("GENDER", "male")), (0,)),
+        GeneralizedQuery(("MEDICATION",), (("GEN", "male"),), (0,)),
+    ], ids=["selection", "projection"])
+    def test_unknown_attribute_raises(self, golden_support, q):
+        with pytest.raises(UnknownAttribute):
+            safe_price(q, golden_support, SPEC)
 
     def test_never_under_gates(self, master):
         rng = random.Random(0)
@@ -161,7 +170,7 @@ class TestSafePrice:
             row = master.rows[rng.randrange(len(master.rows))]
             q = GeneralizedQuery(("MED",), (("GEN", row.values["GEN"]),),
                                  (rng.randint(0, 3),))
-            quote, partition = safe_price(q, master, support, spec)
+            quote, partition = safe_price(q, support, spec)
             if quote.infinite:
                 continue
             for t in master.rows:
@@ -193,7 +202,7 @@ class TestGateUnion:
             fanout2_hierarchies(),
         )
         support = SupportSet(relation, members)
-        quote, partition = safe_price(self.QUERY, relation, support, self.SPEC)
+        quote, partition = safe_price(self.QUERY, support, self.SPEC)
         safe = is_safe_query(self.QUERY, relation,
                              [support.materialize(m) for m in members], self.SPEC)
         return quote, len(partition.survivors), safe
@@ -296,7 +305,7 @@ class TestBadSnapshot:
         doc["members"].insert(3, bad)
         support = SupportSet.from_json(doc, master.copy())
         for q in self.QUERIES:
-            for quote in (lambda: safe_price(q, master, support, SPEC),
+            for quote in (lambda: safe_price(q, support, SPEC),
                           lambda: baseline_price(q, master, support)):
                 with pytest.raises(PacasError) as excinfo:
                     quote()
@@ -306,19 +315,19 @@ class TestBadSnapshot:
 class TestCommitSale:
     def test_repurchase_is_free(self, master, golden_support):
         q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
-        quote, partition = safe_price(q, master, golden_support, SPEC)
+        quote, partition = safe_price(q, golden_support, SPEC)
         assert quote.amount == 2
         commit_sale(golden_support, partition)
-        quote2, _ = safe_price(q, master, golden_support, SPEC)
+        quote2, _ = safe_price(q, golden_support, SPEC)
         assert quote2.amount == 0
 
     def test_sequential_sales_shrink_support(self, master, golden_support):
         q1 = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
         q2 = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "79")), (0,))
-        _, p1 = safe_price(q1, master, golden_support, SPEC)
+        _, p1 = safe_price(q1, golden_support, SPEC)
         commit_sale(golden_support, p1)
         remaining = len(golden_support)
-        quote2, p2 = safe_price(q2, master, golden_support, SPEC)
+        quote2, p2 = safe_price(q2, golden_support, SPEC)
         assert len(p2.survivors) + len(p2.conflicts) == remaining
         assert quote2.amount == 2  # m6 variants still present, priced now
         commit_sale(golden_support, p2)
@@ -326,7 +335,7 @@ class TestCommitSale:
 
     def test_commit_on_empty_conflict_is_noop(self, master, golden_support):
         q = GeneralizedQuery(("DIAG",), (("GEN", "female"), ("AGE", "67")), (0,))
-        quote, partition = safe_price(q, master, golden_support, SPEC)
+        quote, partition = safe_price(q, golden_support, SPEC)
         assert quote.amount == 0
         before = list(golden_support.members)
         commit_sale(golden_support, partition)
@@ -335,8 +344,8 @@ class TestCommitSale:
     def test_stale_partition_rejected(self, master, golden_support):
         q1 = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
         q2 = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "79")), (0,))
-        _, p1 = safe_price(q1, master, golden_support, SPEC)
-        _, p2 = safe_price(q2, master, golden_support, SPEC)
+        _, p1 = safe_price(q1, golden_support, SPEC)
+        _, p2 = safe_price(q2, golden_support, SPEC)
         commit_sale(golden_support, p1)
         with pytest.raises(StalePartition):
             commit_sale(golden_support, p2)
@@ -351,7 +360,7 @@ class TestCommitSale:
         last = baseline_price(probe, master, support)
         sizes = [len(support)]
         for q in sales:
-            quote, partition = safe_price(q, master, support, SPEC)
+            quote, partition = safe_price(q, support, SPEC)
             if not quote.infinite:
                 commit_sale(support, partition)
             now = baseline_price(probe, master, support)

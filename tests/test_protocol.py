@@ -39,6 +39,16 @@ def make_factory(master, dep_config, k=1, levels=(0,), support_path=None, seed=0
 T2 = {"GEN": "male", "AGE": "79", "DIAG": "osteoarthritis", "MED": "intropes"}
 
 
+ILL_TYPED_REQUESTS = [
+    {"tuple_id": "t2", "attr": "MED", "level": 1.7},
+    {"tuple_id": "t2", "attr": "MED", "level": True},
+    {"tuple_id": "t2", "attr": "MED", "level": "2"},
+    {"tuple_id": 5, "attr": "MED", "level": 1},
+    {"tuple_id": "t2", "attr": ["MED"], "level": 1},
+]
+ILL_TYPED_IDS = ["float_level", "bool_level", "string_level", "int_tuple_id", "list_attr"]
+
+
 class TestHandleMessage:
     def test_ask_price_roundtrip(self, master, dep_config, golden_support):
         session = make_factory(master, dep_config,
@@ -91,6 +101,21 @@ class TestHandleMessage:
     def test_non_object_is_invalid_request(self, master, dep_config, message):
         session = make_factory(master, dep_config)()
         assert handle_message(session, message)["error"] == "invalid_request"
+
+    @pytest.mark.parametrize("op", ["ask_price", "pay"])
+    @pytest.mark.parametrize("request_doc", ILL_TYPED_REQUESTS, ids=ILL_TYPED_IDS)
+    def test_ill_typed_request_is_invalid(self, master, dep_config, op, request_doc):
+        """Request fields are taken as sent: nothing is quoted or sold at a
+        level or for a tuple the buyer did not name."""
+        factory = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")
+        price = factory().ask_price(ValueRequest("t2", "MED", 1), T2)
+        session = factory()
+        response = handle_message(session, {"op": op, "price": price,
+                                            "request": request_doc, "tuple": T2})
+        assert (response["ok"], response["error"]) == (False, "invalid_request")
+        assert session.ledger == []
+        assert session.total_weight == 12
 
     def test_info_reports_total_weight(self, master, dep_config):
         session = make_factory(master, dep_config,
@@ -205,6 +230,25 @@ class TestSocketTransport:
                 first = json.loads(f.readline())
                 second = json.loads(f.readline())
                 assert (first["ok"], first["error"]) == (False, error)
+                assert second == {"ok": True, "total_weight": 12}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("request_doc", ILL_TYPED_REQUESTS, ids=ILL_TYPED_IDS)
+    def test_ill_typed_request_keeps_connection(self, master, dep_config, request_doc):
+        factory = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")
+        server, port = start_server(factory)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                line = json.dumps({"op": "ask_price", "request": request_doc, "tuple": T2})
+                f.write(line.encode() + b'\n{"op":"info"}\n')
+                f.flush()
+                first = json.loads(f.readline())
+                second = json.loads(f.readline())
+                assert (first["ok"], first["error"]) == (False, "invalid_request")
                 assert second == {"ok": True, "total_weight": 12}
         finally:
             server.shutdown()
