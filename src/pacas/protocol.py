@@ -1,11 +1,12 @@
 """Newline-delimited JSON transport for the provider endpoints.
 
-One JSON object per line, UTF-8, unknown fields ignored. A `request` field
-of another type than shown (a bool is not an int) gets invalid_request. Ops:
+One JSON object per line, UTF-8, unknown fields ignored. A `request`,
+`tuple` or `price` field of another type than shown (a bool is not an int)
+gets invalid_request. Ops:
 
-  -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{...}}
+  -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{str:str}}
   <- {"ok":true,"price":int|"infinite"}
-  -> {"op":"pay","price":int,"request":{...},"tuple":{...}}
+  -> {"op":"pay","price":int|"infinite","request":{...},"tuple":{...}}
   <- {"ok":true,"value":str,"level":int} | {"ok":false,"error":code}
   -> {"op":"info"}
   <- {"ok":true,"total_weight":int}
@@ -53,6 +54,21 @@ def decode_price(value) -> object:
     return INFINITE if value == "infinite" else value
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true or false decodes to a bool, an int subclass
+
+
+def _is_price(value) -> bool:
+    return value == "infinite" or _is_int(value)
+
+
+def _client_tuple(doc) -> dict:
+    """A request's `tuple` as sent: an object of string values."""
+    if not (isinstance(doc, dict) and all(isinstance(v, str) for v in doc.values())):
+        raise ValueError(f"ill-typed tuple {doc!r:.120}")
+    return doc
+
+
 def handle_message(session: ProviderSession, message: object) -> dict:
     """Dispatch one parsed request against a session; anything but a JSON
     object is an invalid request."""
@@ -62,13 +78,15 @@ def handle_message(session: ProviderSession, message: object) -> dict:
     try:
         if op == "ask_price":
             request = ValueRequest.from_json(message["request"])
-            price = session.ask_price(request, message["tuple"])
+            price = session.ask_price(request, _client_tuple(message["tuple"]))
             return {"ok": True, "price": encode_price(price)}
         if op == "pay":
             request = ValueRequest.from_json(message["request"])
-            value, level = session.pay(
-                decode_price(message["price"]), request, message["tuple"]
-            )
+            client_tuple = _client_tuple(message["tuple"])
+            price = message["price"]
+            if not _is_price(price):
+                raise ValueError(f"ill-typed price {price!r:.80}")
+            value, level = session.pay(decode_price(price), request, client_tuple)
             return {"ok": True, "value": value, "level": level}
         if op == "info":
             return {"ok": True, "total_weight": session.total_weight}
@@ -135,10 +153,6 @@ class EmbeddedProvider:
         pass
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # a JSON true or false decodes to a bool, an int subclass
-
-
 class RemoteProvider:
     """Socket handle speaking the NDJSON protocol."""
 
@@ -177,7 +191,7 @@ class RemoteProvider:
     def ask_price(self, request: ValueRequest, client_tuple: dict):
         (price,) = self._call(
             {"op": "ask_price", "request": request.to_json(), "tuple": dict(client_tuple)},
-            price=lambda v: v == "infinite" or _is_int(v),
+            price=_is_price,
         )
         return decode_price(price)
 

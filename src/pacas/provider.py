@@ -4,6 +4,13 @@ A value request (tuple, attribute, level) is translated through a matching
 dependency into a generalized query against the curated relation. Quotes are
 free and side-effect free; paying commits the sale, shrinks the support set
 and returns a single value at the requested level.
+
+A session keeps each quote it makes, with its partition of the support set,
+until its next sale, at most `_QUOTE_MEMO_CAP` of them; `pay` sells at the
+kept quote instead of pricing the query again. A kept quote is used only
+while the support set it was made on is unchanged. A sale counts its answer
+from the curated rows the query selects, looked up in a map from selection
+values to rows that the session builds once per set of selection attributes.
 """
 
 from __future__ import annotations
@@ -17,7 +24,11 @@ from .errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest, Unkno
 from .gquery import GeneralizedQuery
 from .hierarchy import generalize_to
 from .pricing import SupportSet, commit_sale, is_infinite, safe_price
-from .relation import MD, GeneralizedRelation
+from .relation import MD, GeneralizedRelation, Row
+
+# quotes a session keeps between sales; a buyer who floods distinct quotes
+# and never pays evicts the oldest instead of growing the session
+_QUOTE_MEMO_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,10 @@ class ProviderSession:
     spec: AnonymitySpec
     mds: tuple[MD, ...]
     ledger: list[dict] = field(default_factory=list)
+    # query -> (support set, quote, partition), emptied by every sale
+    _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # selection attributes -> selection values -> master rows, in master order
+    _selections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.master.is_ground():
@@ -80,13 +95,36 @@ class ProviderSession:
         return self.support.total_weight
 
     def quote(self, request: ValueRequest, client_tuple: Mapping[str, str]):
+        """(query, (quote, partition)) for a request. A quote kept since the
+        last sale is reused while its support set is unchanged."""
         q = translate_request(request, client_tuple, self.mds)
         height = self.master.hierarchies.for_attribute(q.projection[0]).height
         if not 0 <= request.level <= height:
             raise UnknownValue(
                 f"level {request.level} outside [0, {height}] for {q.projection[0]!r}"
             )
-        return q, safe_price(q, self.support, self.spec)
+        support = self.support
+        kept = self._quotes.get(q)
+        if (kept is not None and kept[0] is support
+                and kept[2].snapshot == tuple(support.members)):
+            return q, kept[1:]
+        quote, partition = safe_price(q, support, self.spec)
+        self._quotes.pop(q, None)
+        if len(self._quotes) >= _QUOTE_MEMO_CAP:
+            del self._quotes[next(iter(self._quotes))]
+        self._quotes[q] = (support, quote, partition)
+        return q, (quote, partition)
+
+    def selected_rows(self, selection: Sequence[tuple[str, str]]) -> list[Row]:
+        """The master rows matching every (attribute, value) of `selection`,
+        in master order."""
+        attrs = tuple(a for a, _ in selection)
+        index = self._selections.get(attrs)
+        if index is None:
+            index = self._selections[attrs] = {}
+            for row in self.master.rows:
+                index.setdefault(tuple(row.values[a] for a in attrs), []).append(row)
+        return index.get(tuple(v for _, v in selection), [])
 
     def ask_price(self, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Quote a request; records the quote, never mutates the support set."""
@@ -104,6 +142,8 @@ class ProviderSession:
     def pay(self, price, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Execute a purchase at the currently quoted price.
 
+        The sale is made at the quote this session last gave for the request,
+        if no sale came between; otherwise the request is quoted afresh.
         Returns (value, level). The answer is the lifted value with the most
         matching curated rows, ties broken lexicographically. The sale is
         committed only after a non-empty answer is found, so failed purchases
@@ -118,13 +158,13 @@ class ProviderSession:
         h = self.master.hierarchies.for_attribute(attr)
         counts = Counter(
             generalize_to(h, row.values[attr], request.level)
-            for row in self.master.rows
-            if all(row.values[a] == v for a, v in q.selection)
+            for row in self.selected_rows(q.selection)
         )
         if not counts:
             raise NoMatch(f"no curated tuple matches request {request}")
         best = max(sorted(counts), key=counts.__getitem__)
         commit_sale(self.support, partition)
+        self._quotes.clear()
         self.ledger.append(
             {
                 "op": "sale",

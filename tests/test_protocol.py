@@ -48,6 +48,34 @@ ILL_TYPED_REQUESTS = [
 ]
 ILL_TYPED_IDS = ["float_level", "bool_level", "string_level", "int_tuple_id", "list_attr"]
 
+F45 = {"GEN": "female", "AGE": "45"}  # MED at level 1 quotes 1; T2's quotes 0
+
+# (price, tuple) for a level-1 MED request: the first four equal the quote
+# by value, so nothing but their type keeps them from buying
+ILL_TYPED_PRICES = [(False, T2), (0.0, T2), (True, F45), (1.0, F45), ("1", F45), (None, F45)]
+ILL_TYPED_PRICE_IDS = ["false", "zero_float", "true", "one_float", "string", "null"]
+
+ILL_TYPED_TUPLES = [
+    {"GEN": ["male"], "AGE": "79"},
+    {"GEN": "male", "AGE": 79},
+    {"GEN": "male", "AGE": None},
+    ["male", "79"],
+    "male",
+    None,
+]
+ILL_TYPED_TUPLE_IDS = ["list_value", "number_value", "null_value", "list", "string", "null"]
+
+
+def recording_factory(factory):
+    """The factory, plus the list of sessions it has made."""
+    sessions = []
+
+    def make():
+        sessions.append(factory())
+        return sessions[-1]
+
+    return make, sessions
+
 
 class TestHandleMessage:
     def test_ask_price_roundtrip(self, master, dep_config, golden_support):
@@ -113,6 +141,38 @@ class TestHandleMessage:
         session = factory()
         response = handle_message(session, {"op": op, "price": price,
                                             "request": request_doc, "tuple": T2})
+        assert (response["ok"], response["error"]) == (False, "invalid_request")
+        assert session.ledger == []
+        assert session.total_weight == 12
+
+    @pytest.mark.parametrize("price, tup", ILL_TYPED_PRICES, ids=ILL_TYPED_PRICE_IDS)
+    def test_ill_typed_price_is_invalid(self, master, dep_config, price, tup):
+        """Only an int or "infinite" is a price: a bool or float equal to the
+        quote buys nothing."""
+        session = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")()
+        request = {"tuple_id": "c1", "attr": "MED", "level": 1}
+        quoted = handle_message(session, {"op": "ask_price", "request": request,
+                                          "tuple": tup})
+        assert quoted == {"ok": True, "price": 0 if tup is T2 else 1}
+        ledger = list(session.ledger)
+        response = handle_message(session, {"op": "pay", "price": price,
+                                            "request": request, "tuple": tup})
+        assert (response["ok"], response["error"]) == (False, "invalid_request")
+        assert session.ledger == ledger
+        assert session.total_weight == 12
+
+    @pytest.mark.parametrize("op", ["ask_price", "pay"])
+    @pytest.mark.parametrize("tup", ILL_TYPED_TUPLES, ids=ILL_TYPED_TUPLE_IDS)
+    def test_ill_typed_tuple_is_invalid(self, master, dep_config, op, tup):
+        """A `tuple` is an object of strings: nothing is quoted or sold for
+        values the buyer's tuple cannot hold."""
+        session = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")()
+        response = handle_message(session, {
+            "op": op, "price": 0,
+            "request": {"tuple_id": "t2", "attr": "MED", "level": 1}, "tuple": tup,
+        })
         assert (response["ok"], response["error"]) == (False, "invalid_request")
         assert session.ledger == []
         assert session.total_weight == 12
@@ -250,6 +310,32 @@ class TestSocketTransport:
                 second = json.loads(f.readline())
                 assert (first["ok"], first["error"]) == (False, "invalid_request")
                 assert second == {"ok": True, "total_weight": 12}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("message", [
+        *({"op": op, "price": 0, "request": {"tuple_id": "t2", "attr": "MED", "level": 1},
+           "tuple": tup} for op in ("ask_price", "pay") for tup in ILL_TYPED_TUPLES),
+        *({"op": "pay", "price": price, "request": {"tuple_id": "c1", "attr": "MED",
+                                                    "level": 1}, "tuple": tup}
+          for price, tup in ILL_TYPED_PRICES),
+    ], ids=[*(f"{op}-{i}" for op in ("ask_price", "pay") for i in ILL_TYPED_TUPLE_IDS),
+            *(f"pay-price-{i}" for i in ILL_TYPED_PRICE_IDS)])
+    def test_ill_typed_tuple_or_price_keeps_connection(self, master, dep_config, message):
+        factory, sessions = recording_factory(
+            make_factory(master, dep_config, support_path=FIXTURES / "golden_support.json"))
+        server, port = start_server(factory)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                f.write(json.dumps(message).encode() + b'\n{"op":"info"}\n')
+                f.flush()
+                first = json.loads(f.readline())
+                second = json.loads(f.readline())
+                assert (first["ok"], first["error"]) == (False, "invalid_request")
+                assert second == {"ok": True, "total_weight": 12}
+            assert [s.ledger for s in sessions] == [[]]
         finally:
             server.shutdown()
             server.server_close()

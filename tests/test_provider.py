@@ -2,6 +2,7 @@
 
 import pytest
 
+from pacas import provider
 from pacas.anonymity import AnonymitySpec, is_safe_query
 from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest
 from pacas.gquery import GeneralizedQuery, eval_ground
@@ -151,6 +152,48 @@ class TestPay:
         price = session.ask_price(request, probe)
         value, _ = session.pay(price, request, probe)
         assert value == "addaprin"
+
+
+class TestQuoteMemo:
+    """A session prices a request once until its next sale: `pay` sells at
+    the quote just given."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+        price = provider.safe_price
+
+        def counting(*args):
+            made.append(args[0])
+            return price(*args)
+
+        monkeypatch.setattr(provider, "safe_price", counting)
+        return made
+
+    def test_ask_then_pay_prices_once(self, master, golden_support, calls):
+        session = make_session(master, golden_support)
+        request = ValueRequest("t2", "MED", 0)
+        price = session.ask_price(request, T2)
+        session.pay(price, request, T2)
+        assert len(calls) == 1
+
+    def test_asking_again_prices_nothing(self, master, golden_support, calls):
+        session = make_session(master, golden_support)
+        request = ValueRequest("t2", "MED", 0)
+        assert session.ask_price(request, T2) == session.ask_price(request, T2) == 2
+        assert len(calls) == 1
+
+    def test_first_quote_after_a_sale_prices_afresh(self, master, golden_support, calls):
+        session = make_session(master, golden_support)
+        request = ValueRequest("t2", "MED", 0)
+        session.pay(session.ask_price(request, T2), request, T2)
+        assert session.ask_price(request, T2) == 0
+        assert len(calls) == 2
+
+    def test_pay_without_ask_prices_once(self, master, golden_support, calls):
+        session = make_session(master, golden_support)
+        session.pay(2, ValueRequest("t2", "MED", 0), T2)
+        assert len(calls) == 1
 
 
 def rescan_answer(master, q, level):
