@@ -26,7 +26,6 @@ class Hierarchy:
     level: Mapping[str, int]
     root: str
     height: int
-    children: Mapping[str, tuple[str, ...]] = field(repr=False)
     _base: Mapping[str, frozenset[str]] = field(repr=False)
 
     def __contains__(self, value: str) -> bool:
@@ -114,7 +113,6 @@ def load_hierarchy(document: Mapping) -> Hierarchy:
         level=level,
         root=root,
         height=height,
-        children={v: tuple(sorted(k)) for v, k in children.items()},
         _base=base,
     )
 

@@ -8,21 +8,23 @@ Before quoting a finite price, the gate checks that every tuple's X-group
 keeps at least k ground Y-candidates across the agreeing members, so a paid
 answer never narrows a sensitive linkage below k.
 
-A quote reads only the support set. The true answer comes from the reference
-rows the query selects, and each member's from those rows plus its one edited
-row; only the oracles materialize instances. The gate groups the
-survivors' instances in one pass over their union. Each survivor's instance
-is the reference without the tuple it edits plus its edited rows, so the
-union is the reference minus that tuple if every survivor edits the same
-one, plus every survivor's edited rows.
+A quote reads only the support set and evaluates rows, not instances: one
+selection test and one lift give the truth, the lifted values of the
+reference rows the query selects with their counts, and each member's
+answer, those rows less the tuple it edits plus its edited rows the query
+selects. The gate groups the survivors' instances in one pass over their
+union. Each survivor's instance is the reference without the tuple it edits
+plus its edited rows, so the union is the reference minus that tuple if
+every survivor edits the same one, plus every survivor's edited rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .anonymity import AnonymitySpec, xgroups
 from .errors import (
@@ -33,6 +35,7 @@ from .errors import (
     StalePartition,
 )
 from .gquery import GeneralizedQuery, eval_gq
+from .hierarchy import generalize_to
 from .relation import GeneralizedRelation, Row
 from .rng import child_rng
 
@@ -85,13 +88,15 @@ class Member:
                        payload=tuple(sorted(doc["values"].items())), weight=weight)
         if kind == "delete":
             return cls(kind, doc["tuple_id"], weight=weight)
-        raise PacasError(f"unknown member kind {kind!r}")
+        raise MalformedSnapshot(f"unknown member kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class PriceQuote:
     amount: object  # int or INFINITE
     query_fingerprint: str
+    # the true answer: lifted value -> selected reference rows lifting to it
+    answer: Mapping[tuple[str, ...], int] = field(hash=False)
 
     @property
     def infinite(self) -> bool:
@@ -261,27 +266,34 @@ def safe_price(
 ) -> tuple[PriceQuote, Partition]:
     """Price a query and gate it on the buyer's residual uncertainty.
 
-    A quote reads only the support set: the truth is the query's answer over
-    its reference, and members disagreeing with it form the conflict set and
-    sum to the price. A finite quote also requires, for every reference tuple,
-    at least k ground Y-candidates for its X-group across the agreeing members.
+    A quote evaluates rows and builds no instance: the truth is the query's
+    answer over the reference, counted per lifted value, and members
+    disagreeing with it form the conflict set and sum to the price. A finite
+    quote also requires, for every reference tuple, at least k ground
+    Y-candidates for its X-group across the agreeing members.
     INFINITE quotes are values, not errors, and must stay side-effect free.
     """
     ref = support.reference
     for attr in (*q.projection, *(a for a, _ in q.selection)):
         ref.schema.require(attr)
-    selected = [r for r in ref.rows if all(r.values[a] == v for a, v in q.selection)]
-    truth = eval_gq(q, GeneralizedRelation(ref.schema, selected, ref.hierarchies))
+
+    def selects(row: Row) -> bool:
+        return all(row.values[a] == v for a, v in q.selection)
+
+    def lift(row: Row) -> tuple[str, ...]:
+        return tuple(generalize_to(ref.hierarchies.for_attribute(a), row.values[a], level)
+                     for a, level in zip(q.projection, q.levels))
+
+    selected = [(r.tid, lift(r)) for r in ref.rows if selects(r)]
+    answer = Counter(value for _, value in selected)
     edits = {member: _edited_rows(ref, member) for member in support.members}
     survivors: list[Member] = []
     conflicts: list[Member] = []
     for member in support.members:
         # an instance differs from the reference only in the tuple its member edits
-        rows = [r for r in selected if r.tid != member.tid] + edits[member]
-        if eval_gq(q, GeneralizedRelation(ref.schema, rows, ref.hierarchies)) == truth:
-            survivors.append(member)
-        else:
-            conflicts.append(member)
+        values = {value for tid, value in selected if tid != member.tid}
+        values.update(lift(r) for r in edits[member] if selects(r))
+        (survivors if values == answer.keys() else conflicts).append(member)
     partition = Partition(tuple(survivors), tuple(conflicts), tuple(support.members))
     fingerprint = q.fingerprint()
     price = sum(m.weight for m in conflicts)
@@ -292,8 +304,8 @@ def safe_price(
     candidates = xgroups(union + [r for m in survivors for r in edits[m]], spec.x, spec.y)
     for row in ref.rows:
         if len(candidates.get(tuple(row.values[a] for a in spec.x), ())) < spec.k:
-            return PriceQuote(INFINITE, fingerprint), partition
-    return PriceQuote(price, fingerprint), partition
+            return PriceQuote(INFINITE, fingerprint, answer), partition
+    return PriceQuote(price, fingerprint, answer), partition
 
 
 def commit_sale(support: SupportSet, partition: Partition) -> SupportSet:

@@ -8,27 +8,25 @@ and returns a single value at the requested level.
 A session keeps each quote it makes, with its partition of the support set,
 until its next sale, at most `_QUOTE_MEMO_CAP` of them; `pay` sells at the
 kept quote instead of pricing the query again. A kept quote is used only
-while the support set it was made on is unchanged. A sale counts its answer
-from the curated rows the query selects, looked up in a map from selection
-values to rows that the session builds once per set of selection attributes.
+while the support set it was made on is unchanged. A sale answers from its
+quote's answer: the lifted value most curated rows hold.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .anonymity import AnonymitySpec
 from .errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest, UnknownValue
 from .gquery import GeneralizedQuery
-from .hierarchy import generalize_to
 from .pricing import SupportSet, commit_sale, is_infinite, safe_price
-from .relation import MD, GeneralizedRelation, Row
+from .relation import MD, GeneralizedRelation
 
-# quotes a session keeps between sales; a buyer who floods distinct quotes
-# and never pays evicts the oldest instead of growing the session
+# quotes a session keeps between sales, and ledger entries it keeps; a buyer
+# who floods distinct quotes evicts the oldest instead of growing the session
 _QUOTE_MEMO_CAP = 64
+_LEDGER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -74,17 +72,19 @@ def translate_request(
 
 @dataclass
 class ProviderSession:
-    """Per-client pricing and answering state over one curated relation."""
+    """Per-client pricing and answering state over one curated relation.
+
+    `master` and `support.reference` hold the same rows in every caller; a
+    quote, and so a sale, reads only the support set's reference."""
 
     master: GeneralizedRelation
     support: SupportSet
     spec: AnonymitySpec
     mds: tuple[MD, ...]
+    # the latest `_LEDGER_CAP` quotes and sales, oldest first
     ledger: list[dict] = field(default_factory=list)
     # query -> (support set, quote, partition), emptied by every sale
     _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # selection attributes -> selection values -> master rows, in master order
-    _selections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.master.is_ground():
@@ -115,21 +115,10 @@ class ProviderSession:
         self._quotes[q] = (support, quote, partition)
         return q, (quote, partition)
 
-    def selected_rows(self, selection: Sequence[tuple[str, str]]) -> list[Row]:
-        """The master rows matching every (attribute, value) of `selection`,
-        in master order."""
-        attrs = tuple(a for a, _ in selection)
-        index = self._selections.get(attrs)
-        if index is None:
-            index = self._selections[attrs] = {}
-            for row in self.master.rows:
-                index.setdefault(tuple(row.values[a] for a in attrs), []).append(row)
-        return index.get(tuple(v for _, v in selection), [])
-
     def ask_price(self, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Quote a request; records the quote, never mutates the support set."""
         q, (quote, _) = self.quote(request, client_tuple)
-        self.ledger.append(
+        self._record(
             {
                 "op": "quote",
                 "request": request.to_json(),
@@ -144,28 +133,22 @@ class ProviderSession:
 
         The sale is made at the quote this session last gave for the request,
         if no sale came between; otherwise the request is quoted afresh.
-        Returns (value, level). The answer is the lifted value with the most
-        matching curated rows, ties broken lexicographically. The sale is
-        committed only after a non-empty answer is found, so failed purchases
-        cost nothing and leave no trace in the support set.
+        Returns (value, level). The answer is the lifted value the quote
+        counted in the most curated rows, ties broken lexicographically. The
+        sale is committed only after a non-empty answer is found, so failed
+        purchases cost nothing and leave no trace in the support set.
         """
-        q, (quote, partition) = self.quote(request, client_tuple)
+        _, (quote, partition) = self.quote(request, client_tuple)
         if quote.infinite:
             raise UnsafeRequest(f"request {request} cannot be answered safely")
         if is_infinite(price) or price != quote.amount:
             raise QuoteMismatch(f"offered {price!r}, current quote is {quote.amount!r}")
-        attr = q.projection[0]
-        h = self.master.hierarchies.for_attribute(attr)
-        counts = Counter(
-            generalize_to(h, row.values[attr], request.level)
-            for row in self.selected_rows(q.selection)
-        )
-        if not counts:
+        if not quote.answer:
             raise NoMatch(f"no curated tuple matches request {request}")
-        best = max(sorted(counts), key=counts.__getitem__)
+        (best,) = max(sorted(quote.answer), key=quote.answer.__getitem__)
         commit_sale(self.support, partition)
         self._quotes.clear()
-        self.ledger.append(
+        self._record(
             {
                 "op": "sale",
                 "request": request.to_json(),
@@ -176,3 +159,7 @@ class ProviderSession:
             }
         )
         return best, request.level
+
+    def _record(self, entry: dict) -> None:
+        self.ledger.append(entry)
+        del self.ledger[:-_LEDGER_CAP]

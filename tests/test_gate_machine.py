@@ -10,14 +10,15 @@ copying the whole reference, so the oracle shares no code with the
 edited-row pricing path.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 from pacas.anonymity import AnonymitySpec, is_safe_query
 from pacas.errors import NoMatch, PacasError, UnsafeRequest
 from pacas.gquery import eval_gq
-from pacas.pricing import Member, SupportSet, baseline_price, is_infinite
+from pacas.hierarchy import generalize_to
+from pacas.pricing import Member, SupportSet, baseline_price, is_infinite, safe_price
 from pacas.provider import ProviderSession, ValueRequest, translate_request
 from pacas.relation import MD, GeneralizedRelation, Row, Schema
 
@@ -156,3 +157,21 @@ def test_gate_matches_oracles_and_sees_both_verdicts():
         settings=settings(max_examples=80, stateful_step_count=8, deadline=None),
     )
     assert {True, False, "update", "insert", "delete"} <= SEEN
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=worlds(), req=requests)
+def test_quote_answer_counts_the_selected_reference_rows(world, req):
+    """A quote's answer is the oracle's answer over the reference, and each
+    lifted value counts the selected reference rows that lift to it."""
+    master, members, k = world
+    attr, level, client = req
+    support = SupportSet(master.copy(), members)
+    q = translate_request(ValueRequest("c", attr, level), client, MDS)
+    quote, _ = safe_price(q, support, AnonymitySpec(x=("P",), y=("S",), levels=(0,), k=k))
+    assert frozenset(quote.answer) == eval_gq(q, support.reference)
+    h = HS[attr]
+    for (value,), count in quote.answer.items():
+        assert count == sum(1 for r in support.reference.rows
+                            if all(r.values[a] == v for a, v in q.selection)
+                            and generalize_to(h, r.values[attr], level) == value)

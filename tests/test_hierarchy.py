@@ -184,7 +184,7 @@ def test_partial_order_properties(doc, data):
 def test_base_is_union_of_children_bases(doc):
     h = load_hierarchy(doc)
     for value in h.level:
-        kids = h.children[value]
+        kids = [child for child, parent in h.parent.items() if parent == value]
         assert len(base(h, value)) >= 1
         if kids:
             assert base(h, value) == frozenset().union(*(base(h, k) for k in kids))

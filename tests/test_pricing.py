@@ -256,11 +256,13 @@ class TestSnapshotChecks:
         {"kind": "delete", "tuple_id": "m1", "weight": "2"},
         {"kind": "delete", "tuple_id": "m1", "weight": 1.5},
         {"kind": "delete", "tuple_id": "m1", "weight": True},
+        {"kind": "move", "tuple_id": "m1"},
     ], ids=["update_lacks_value", "update_lacks_tuple_id", "lacks_kind",
             "insert_lacks_values", "update_unknown_attr", "insert_extra_attr",
             "insert_missing_attr", "update_generalized_value", "update_unknown_value",
             "update_non_string_value", "insert_generalized_value", "weight_zero",
-            "weight_negative", "weight_string", "weight_float", "weight_bool"])
+            "weight_negative", "weight_string", "weight_float", "weight_bool",
+            "unknown_kind"])
     def test_rejected_at_load(self, master, bad):
         doc = json.loads((FIXTURES / "golden_support.json").read_text())
         doc["members"].insert(3, bad)

@@ -16,7 +16,7 @@ from pacas.protocol import (
     handle_message,
     start_server,
 )
-from pacas.provider import ProviderSession, ValueRequest
+from pacas.provider import _LEDGER_CAP, ProviderSession, ValueRequest, translate_request
 from pacas.errors import NoMatch, ProtocolError, QuoteMismatch
 
 from conftest import FIXTURES
@@ -182,6 +182,23 @@ class TestHandleMessage:
                                support_path=FIXTURES / "golden_support.json")()
         assert handle_message(session, {"op": "info"}) == \
             {"ok": True, "total_weight": 12}
+
+    def test_quote_flood_keeps_the_latest_ledger_entries(self, master, dep_config):
+        """A connection's ledger holds the latest `_LEDGER_CAP` entries, so a
+        buyer who floods distinct quotes does not grow it without bound."""
+        session = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")()
+        request = ValueRequest("c1", "MED", 1)
+        tuples = [{"GEN": "male", "AGE": str(i)} for i in range(_LEDGER_CAP + 10)]
+        for tup in tuples:
+            response = handle_message(session, {"op": "ask_price", "tuple": tup,
+                                                "request": request.to_json()})
+            assert response["ok"]
+        assert len(session.ledger) == _LEDGER_CAP
+        fingerprints = [translate_request(request, tup, dep_config.mds).fingerprint()
+                        for tup in (tuples[10], tuples[-1])]
+        assert [e["fingerprint"] for e in (session.ledger[0], session.ledger[-1])] == \
+            fingerprints
 
 
 class TestSocketTransport:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pacas import provider
+from pacas import pricing, provider
 from pacas.anonymity import AnonymitySpec, is_safe_query
 from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest
 from pacas.gquery import GeneralizedQuery, eval_ground
@@ -194,6 +194,26 @@ class TestQuoteMemo:
         session = make_session(master, golden_support)
         session.pay(2, ValueRequest("t2", "MED", 0), T2)
         assert len(calls) == 1
+
+
+class TestSaleFromQuote:
+    """A quote evaluates rows, and a sale answers from its quote's answer:
+    neither builds an instance for the oracle evaluator."""
+
+    @pytest.mark.parametrize("k, level, price, value", [
+        (3, 1, 0, "NSAID"),
+        (1, 0, 2, "ibuprofen"),
+    ])
+    def test_ask_and_pay_without_eval_gq(self, master, golden_support, monkeypatch,
+                                         k, level, price, value):
+        def refuse(*args):
+            raise AssertionError("eval_gq called on the pricing path")
+
+        monkeypatch.setattr(pricing, "eval_gq", refuse)
+        session = make_session(master, golden_support, k=k, levels=(1,))
+        request = ValueRequest("t2", "MED", level)
+        assert session.ask_price(request, T2) == price
+        assert session.pay(price, request, T2) == (value, level)
 
 
 def rescan_answer(master, q, level):
