@@ -29,22 +29,32 @@ from .provider import ValueRequest
 from .relation import (
     FD,
     EquivalenceClass,
+    FDIndex,
     GeneralizedRelation,
     generate_eqs,
-    refresh_error_counts,
     resolved,
-    violations,
 )
 
 
 @dataclass
 class RepairSession:
+    """The working copy and what the repair loop keeps about it.
+
+    `index` holds each FD's LHS groups and violating pairs, `order` each
+    tuple's row position and `eqs_of` the classes with a cell on each tuple,
+    all for the whole session. A repair rescans only the groups that hold the
+    repaired tuples and recounts only the classes on those groups' tuples;
+    `refresh_error_counts` stays the full-recount oracle."""
+
     relation: GeneralizedRelation
     fds: tuple[FD, ...]
     budget_total: Fraction
     budget_remaining: Fraction
     l_max: Mapping[str, int]
     eqs: list[EquivalenceClass]
+    index: FDIndex
+    order: dict[str, int]
+    eqs_of: dict[str, list[EquivalenceClass]]
     purchases: list[dict] = field(default_factory=list)
 
 
@@ -65,8 +75,13 @@ def start_session(
             raise LevelCapViolation(f"level cap {cap} on {attr!r} is negative")
         caps[attr] = min(int(cap), relation.hierarchies.for_attribute(attr).height)
     working = relation.copy()
+    index = FDIndex(working, fds)
     eqs = [eq for eq in generate_eqs(working, fds) if not resolved(working, eq)]
-    refresh_error_counts(working, fds, eqs)
+    eqs_of: dict[str, list[EquivalenceClass]] = {}
+    for eq in eqs:
+        eq.error_count = index.error_count(eq.cells)
+        for tid in {t for t, _ in eq.cells}:
+            eqs_of.setdefault(tid, []).append(eq)
     return RepairSession(
         relation=working,
         fds=fds,
@@ -74,6 +89,9 @@ def start_session(
         budget_remaining=budget,
         l_max=caps,
         eqs=eqs,
+        index=index,
+        order={row.tid: i for i, row in enumerate(working.rows)},
+        eqs_of=eqs_of,
     )
 
 
@@ -94,7 +112,7 @@ def allocate(session: RepairSession, eq: EquivalenceClass) -> Fraction:
 
 
 def _cell_order(session: RepairSession, eq: EquivalenceClass) -> list[tuple[str, str]]:
-    order = {row.tid: i for i, row in enumerate(session.relation.rows)}
+    order = session.order
     return sorted(eq.cells, key=lambda cell: (order[cell[0]], cell[1]))
 
 
@@ -145,7 +163,7 @@ def generate_request(
 
 def apply_repair(session: RepairSession, eq: EquivalenceClass, value: str, level: int) -> None:
     """Write the purchased value into every cell of the class, drop the class
-    and refresh the surviving error counts."""
+    and recount the surviving classes whose violating pairs may have moved."""
     attrs = eq.attributes()
     for attr in attrs:
         if level > session.l_max[attr]:
@@ -156,7 +174,11 @@ def apply_repair(session: RepairSession, eq: EquivalenceClass, value: str, level
     for tid, attr in eq.cells:
         session.relation.row(tid).values[attr] = value
     session.eqs = [e for e in session.eqs if e.eq_id != eq.eq_id]
-    refresh_error_counts(session.relation, session.fds, session.eqs)
+    touched = session.index.update({tid for tid, _ in eq.cells}, attrs)
+    stale = {e.eq_id for tid in touched for e in session.eqs_of.get(tid, ())}
+    for e in session.eqs:
+        if e.eq_id in stale:
+            e.error_count = session.index.error_count(e.cells)
 
 
 @dataclass
@@ -197,7 +219,7 @@ def safe_clean(
     """Run the repair loop until the budget or the class list is exhausted."""
     started = time.perf_counter()
     session = start_session(relation, fds, budget, l_max)
-    before = len(violations(session.relation, fds))
+    before = session.index.count
     iterations: list[dict] = []
     while session.budget_remaining > 0 and session.eqs:
         eq = select_eq(session)
@@ -244,7 +266,7 @@ def safe_clean(
             entry["purchase"] = purchase
             entry["replaced"] = old_values
         iterations.append(entry)
-    after = len(violations(session.relation, fds))
+    after = session.index.count
     report = CleanReport(
         iterations=iterations,
         violations_before=before,

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -126,6 +127,8 @@ class InjectionPlan:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise RateInfeasible(f"error rate {self.rate} outside (0, 1]")
+        if not all(0 <= share <= 1 for share in self.mix):
+            raise RateInfeasible(f"error mix {self.mix} has a share outside [0, 1]")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise RateInfeasible("error mix must sum to 1")
 
@@ -138,7 +141,18 @@ def inject_errors(
     Constraint-induced errors perturb one RHS cell of a tuple pair sharing an
     FD LHS; random errors redraw any FD-attribute cell. At most one error per
     tuple; the manifest round-trips the dirty relation from the truth.
+
+    Each FD's truth rows are grouped once per call. The call keeps, per FD,
+    the sorted LHS vectors that at least two unused tuples share and each
+    vector's unused tuples in row order, and it keeps all unused tuples in
+    row order. Corrupting a tuple updates them with binary searches and list
+    deletions, so no error makes a pass over every row or sorts every group
+    key. The draws, and so the dirty relation and manifest, are those of
+    regrouping every unused row before each error.
     """
+    fds = tuple(fds)
+    if not fds:
+        raise RateInfeasible("error injection needs at least one FD")
     if not truth.is_ground():
         raise UnknownValue("truth relation must be ground before injection")
     if violations(truth, fds):
@@ -146,52 +160,61 @@ def inject_errors(
     rng = child_rng(plan.seed, "inject")
     n_total = max(1, round(plan.rate * len(truth.rows)))
     dirty = truth.copy()
-    used: set[str] = set()
     entries: list[dict] = []
 
-    domains = {
-        a: sorted({row.values[a] for row in truth.rows})
-        for a in truth.schema.attributes
-    }
+    fd_attrs = sorted({a for fd in fds for a in fd.lhs + fd.rhs})
+    domains = {a: sorted({row.values[a] for row in truth.rows}) for a in fd_attrs}
+    rank = {a: {v: i for i, v in enumerate(domain)} for a, domain in domains.items()}
+    position = {row.tid: i for i, row in enumerate(truth.rows)}
+    unused = list(range(len(truth.rows)))  # row positions of untouched tuples
+    # per FD: LHS vector -> its unused tuples in row order, and the sorted
+    # vectors at least two unused tuples share
+    members: list[dict[tuple, list[str]]] = []
+    shared: list[list[tuple]] = []
+    for fd in fds:
+        groups: dict[tuple, list[str]] = {}
+        for row in truth.rows:
+            groups.setdefault(tuple(row.values[a] for a in fd.lhs), []).append(row.tid)
+        members.append(groups)
+        shared.append(sorted(k for k, tids in groups.items() if len(tids) >= 2))
 
     def corrupt(tid: str, attr: str, kind: str) -> None:
         row = dirty.row(tid)
         old = row.values[attr]
-        choices = [v for v in domains[attr] if v != old]
-        if not choices:
+        domain = domains[attr]
+        if len(domain) < 2:
             raise RateInfeasible(f"attribute {attr!r} has a single-value domain")
-        new = rng.choice(choices)
+        # the draw a choice among the other domain values makes
+        i = rng.choice(range(len(domain) - 1))
+        new = domain[i + (i >= rank[attr][old])]
         row.values[attr] = new
-        used.add(tid)
         entries.append({"tuple_id": tid, "attr": attr, "old": old, "new": new, "kind": kind})
+        del unused[bisect_left(unused, position[tid])]
+        values = truth.row(tid).values
+        for fd, groups, keys in zip(fds, members, shared):
+            key = tuple(values[a] for a in fd.lhs)
+            groups[key].remove(tid)
+            if len(groups[key]) == 1:
+                del keys[bisect_left(keys, key)]
 
-    fd_attrs = sorted({a for fd in fds for a in fd.lhs + fd.rhs})
     # interleave the two kinds deterministically so a higher rate corrupts a
     # superset of what a lower rate corrupts under the same seed
     ci_done = 0
     for i in range(n_total):
         if round(plan.mix[0] * (i + 1)) > ci_done:
             ci_done += 1
-            fd = fds[rng.randrange(len(fds))]
-            groups: dict[tuple, list[str]] = {}
-            for row in truth.rows:
-                if row.tid in used:
-                    continue
-                key = tuple(row.values[a] for a in fd.lhs)
-                groups.setdefault(key, []).append(row.tid)
-            pairs = sorted(k for k, tids in groups.items() if len(tids) >= 2)
-            if not pairs:
+            f = rng.randrange(len(fds))
+            if not shared[f]:
                 raise RateInfeasible(
                     "not enough LHS-sharing pairs left for constraint-induced errors"
                 )
-            key = pairs[rng.randrange(len(pairs))]
-            tid = rng.choice(groups[key])
-            corrupt(tid, rng.choice(fd.rhs), "constraint_induced")
+            key = shared[f][rng.randrange(len(shared[f]))]
+            tid = rng.choice(members[f][key])
+            corrupt(tid, rng.choice(fds[f].rhs), "constraint_induced")
         else:
-            candidates = [row.tid for row in truth.rows if row.tid not in used]
-            if not candidates:
+            if not unused:
                 raise RateInfeasible("fewer tuples than requested errors")
-            tid = rng.choice(candidates)
+            tid = truth.rows[rng.choice(unused)].tid
             corrupt(tid, rng.choice(fd_attrs), "random")
 
     manifest = {"seed": plan.seed, "rate": plan.rate, "entries": entries}

@@ -133,9 +133,14 @@ def ancestors(h: Hierarchy, value: str) -> list[str]:
 
 
 def generalizes(h: Hierarchy, lower: str, upper: str) -> bool:
-    """True iff upper lies on the path from lower to the root (reflexive)."""
+    """True iff upper lies on the path from lower to the root (reflexive).
+
+    In a tree whose leaves all sit at level 0 that holds exactly when upper
+    is no lower than lower and its ground base contains lower's, so the test
+    reads the precomputed bases instead of walking the chain."""
     h.require(upper)
-    return upper in ancestors(h, lower)
+    h.require(lower)
+    return h.level[lower] <= h.level[upper] and h._base[lower] <= h._base[upper]
 
 
 def lca(h: Hierarchy, a: str, b: str) -> str:

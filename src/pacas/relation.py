@@ -85,11 +85,17 @@ class GeneralizedRelation:
             raise StaleClass(f"tuple {tid!r} no longer exists") from None
 
     def is_ground(self) -> bool:
-        return all(
-            self.hierarchies.for_attribute(a).level_of(row.values[a]) == 0
-            for row in self.rows
-            for a in self.schema.attributes
-        )
+        if not self.rows:
+            return True
+        levels = _levels(self, self.schema.attributes)
+        for row in self.rows:
+            for attr, level in levels:
+                at = level.get(row.values[attr])
+                if at != 0:
+                    if at is None:
+                        raise UnknownValue(f"{attr}: unknown value {row.values[attr]!r}")
+                    return False
+        return True
 
     def copy(self) -> "GeneralizedRelation":
         return GeneralizedRelation(
@@ -179,49 +185,159 @@ class DependencyConfig:
         )
 
 
-def _ground_lhs_key(relation: GeneralizedRelation, row: Row, lhs: tuple[str, ...]):
+def _levels(relation: GeneralizedRelation, attrs: tuple[str, ...]):
+    """(attribute, value -> level map) per attribute, for the key readers."""
+    return [(a, relation.hierarchies.for_attribute(a).level) for a in attrs]
+
+
+def _ground_lhs_key(row: Row, levels) -> tuple | None:
     """LHS vector as a grouping key, or None when any component is general."""
     key = []
-    for attr in lhs:
+    for attr, level in levels:
         value = row.values[attr]
-        if relation.hierarchies.for_attribute(attr).level_of(value) != 0:
+        at = level.get(value)
+        if at is None:
+            raise UnknownValue(f"{attr}: unknown value {value!r}")
+        if at != 0:
             return None
         key.append(value)
     return tuple(key)
 
 
-def _lhs_groups(relation: GeneralizedRelation, fd: FD):
+def _lhs_groups(relation: GeneralizedRelation, fd: FD) -> dict[tuple, list[Row]]:
     """Rows sharing one all-ground LHS vector, grouped in row order."""
+    levels = _levels(relation, fd.lhs)
     groups: dict[tuple, list[Row]] = {}
     for row in relation.rows:
-        key = _ground_lhs_key(relation, row, fd.lhs)
+        key = _ground_lhs_key(row, levels)
         if key is not None:
             groups.setdefault(key, []).append(row)
-    return groups.values()
+    return groups
 
 
-def _rhs_comparable(relation: GeneralizedRelation, a: Row, b: Row, rhs: tuple[str, ...]) -> bool:
-    for attr in rhs:
-        h = relation.hierarchies.for_attribute(attr)
-        va, vb = a.values[attr], b.values[attr]
-        if not (hi.generalizes(h, va, vb) or hi.generalizes(h, vb, va)):
-            return False
-    return True
+def _violating_pairs(
+    relation: GeneralizedRelation, members: list[Row], rhs: tuple[str, ...]
+) -> list[tuple[str, str]]:
+    """(tid_low, tid_high) for each pair of group members whose RHS vectors
+    are incomparable, in the order of a pairwise scan of the members. Only
+    distinct RHS vectors are compared."""
+    at: dict[tuple, list[int]] = {}
+    for i, row in enumerate(members):
+        at.setdefault(tuple(row.values[a] for a in rhs), []).append(i)
+    if len(at) < 2:
+        return []
+    hs = [relation.hierarchies.for_attribute(a) for a in rhs]
+    vectors = list(at)
+    found: list[tuple[int, int]] = []
+    for x, u in enumerate(vectors):
+        for w in vectors[x + 1 :]:
+            if not all(
+                hi.generalizes(h, a, b) or hi.generalizes(h, b, a) for h, a, b in zip(hs, u, w)
+            ):
+                found += [(min(i, j), max(i, j)) for i in at[u] for j in at[w]]
+    found.sort()
+    tids = [row.tid for row in members]
+    return [(tids[i], tids[j]) if tids[i] <= tids[j] else (tids[j], tids[i]) for i, j in found]
 
 
 def violations(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[tuple[FD, str, str]]:
-    """Every violating tuple pair per FD, as (fd, tid_low, tid_high)."""
+    """Every violating tuple pair per FD, as (fd, tid_low, tid_high), ordered
+    by FD, then by LHS group in order of first row, then as a pairwise scan
+    of the group's rows would meet them.
+
+    One grouping pass per FD; inside a group only the distinct RHS vectors are
+    compared, so a scan costs O(n + sum of squared distinct RHS vectors per
+    group + pairs returned), not one comparison per pair of rows."""
     out: list[tuple[FD, str, str]] = []
     for fd in fds:
         for attr in fd.lhs + fd.rhs:
             relation.schema.require(attr)
-        for members in _lhs_groups(relation, fd):
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if not _rhs_comparable(relation, a, b, fd.rhs):
-                        pair = tuple(sorted((a.tid, b.tid)))
-                        out.append((fd, pair[0], pair[1]))
+        for members in _lhs_groups(relation, fd).values():
+            out += [(fd, *pair) for pair in _violating_pairs(relation, members, fd.rhs)]
     return out
+
+
+class FDIndex:
+    """Each FD's LHS groups over one relation and the violating pairs inside
+    each group, kept current while the relation's cells change.
+
+    Building costs one `violations` scan. After the cells (t, a), t in tids
+    and a in attrs, are rewritten, `update` regroups those tuples under each
+    FD whose LHS holds a rewritten attribute and rescans only the groups that
+    hold them before or after, so a step costs O(|tids|) plus the size of
+    those groups, not O(n)."""
+
+    def __init__(self, relation: GeneralizedRelation, fds: Iterable[FD]):
+        self.relation = relation
+        self.fds = tuple(fds)
+        self.count = 0  # violating pairs over all FDs, as len(violations(...))
+        self._keys: list[dict[str, tuple]] = []  # per FD: tid -> LHS key of a grouped tuple
+        self._groups: list[dict[tuple, list[Row]]] = []  # per FD: LHS key -> rows
+        self._pairs: list[dict[tuple, list[tuple[str, str]]]] = []  # per FD: key -> pairs
+        for i, fd in enumerate(self.fds):
+            for attr in fd.lhs + fd.rhs:
+                relation.schema.require(attr)
+            groups = _lhs_groups(relation, fd)
+            self._keys.append({row.tid: key for key, rows in groups.items() for row in rows})
+            self._groups.append(groups)
+            self._pairs.append({})
+            for key in groups:
+                self._rescan(i, key)
+
+    def _rescan(self, i: int, key: tuple) -> None:
+        pairs = self._pairs[i]
+        self.count -= len(pairs.pop(key, ()))
+        members = self._groups[i].get(key, ())
+        if len(members) > 1:
+            found = _violating_pairs(self.relation, members, self.fds[i].rhs)
+            if found:
+                pairs[key] = found
+                self.count += len(found)
+
+    def update(self, tids: set[str], attrs: set[str]) -> set[str]:
+        """Bring the groups and pairs up to date after the cells (t, a), t in
+        tids and a in attrs, were rewritten. Returns the tuples whose
+        violating pairs may have changed: tids and every rescanned group."""
+        touched = set(tids)
+        for i, fd in enumerate(self.fds):
+            if attrs.isdisjoint(fd.lhs + fd.rhs):
+                continue
+            keys, groups = self._keys[i], self._groups[i]
+            if attrs.isdisjoint(fd.lhs):
+                stale = {keys[t] for t in tids if t in keys}
+            else:
+                stale = set()
+                levels = _levels(self.relation, fd.lhs)
+                for tid in tids:
+                    row = self.relation.row(tid)
+                    old, new = keys.pop(tid, None), _ground_lhs_key(row, levels)
+                    if old is not None:
+                        groups[old].remove(row)
+                        stale.add(old)
+                    if new is not None:
+                        groups.setdefault(new, []).append(row)
+                        keys[tid] = new
+                        stale.add(new)
+            for key in stale:
+                if not groups[key]:
+                    del groups[key]
+                else:
+                    touched.update(row.tid for row in groups[key])
+                self._rescan(i, key)
+        return touched
+
+    def error_count(self, cells: Iterable[tuple[str, str]]) -> int:
+        """Distinct violating pairs that any of the cells participates in,
+        unioned over all FDs: what `refresh_error_counts` gives a class with
+        these cells. Costs O(|cells| + the pairs of their groups)."""
+        cells = tuple(cells)
+        found: set[tuple[str, str]] = set()
+        for fd, keys, pairs in zip(self.fds, self._keys, self._pairs):
+            attrs = fd.lhs + fd.rhs
+            tids = {t for t, a in cells if a in attrs}
+            for key in {keys[t] for t in tids if t in keys}:
+                found.update(p for p in pairs.get(key, ()) if p[0] in tids or p[1] in tids)
+        return len(found)
 
 
 def is_consistent(relation: GeneralizedRelation, fds: Iterable[FD]) -> tuple[bool, list[tuple[FD, str, str]]]:
@@ -271,7 +387,7 @@ def generate_eqs(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[Equiv
             for attr in fd.rhs:
                 uf.add((row.tid, attr))
     for fd in fds:
-        for members in _lhs_groups(relation, fd):
+        for members in _lhs_groups(relation, fd).values():
             anchor = members[0]
             for other in members[1:]:
                 for attr in fd.rhs:

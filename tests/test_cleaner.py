@@ -4,6 +4,8 @@ repair application and the end-to-end golden scenarios."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacas.anonymity import AnonymitySpec
 from pacas.cleaner import (
@@ -17,7 +19,18 @@ from pacas.cleaner import (
 from pacas.errors import LevelCapViolation, NoClasses
 from pacas.protocol import EmbeddedProvider
 from pacas.provider import ProviderSession
-from pacas.relation import FD, is_consistent
+from pacas.relation import (
+    FD,
+    EquivalenceClass,
+    GeneralizedRelation,
+    Row,
+    Schema,
+    is_consistent,
+    refresh_error_counts,
+    violations,
+)
+
+from test_relation import _tiny_hierarchies
 
 PHI = (FD(lhs=("GEN", "DIAG"), rhs=("MED",)),)
 
@@ -197,3 +210,65 @@ class TestSafeClean:
         assert report.repair_error is not None
         assert report.buckets is not None
         assert abs(sum(report.buckets.values()) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# kept counts against a full recount after every repair
+
+TINY = _tiny_hierarchies()
+# B is the RHS of one FD and the LHS of another, so a B class's repair moves
+# tuples between the second FD's groups; the last FD has a two-attribute RHS
+CHAIN_FDS = (FD(("A",), ("B",)), FD(("B",), ("C",)), FD(("A", "C"), ("D",)),
+             FD(("D",), ("B", "C")))
+
+
+def _values(attr, max_level):
+    return sorted(v for v, lvl in TINY[attr].level.items() if lvl <= max_level)
+
+
+@st.composite
+def repair_runs(draw):
+    fds = draw(st.lists(st.sampled_from(CHAIN_FDS), min_size=1, max_size=4, unique=True))
+    rows = [
+        Row(f"t{i}", {a: draw(st.sampled_from(_values(a, draw(st.sampled_from((0, 0, 0, 1))))))
+                      for a in "ABCD"})
+        for i in range(draw(st.integers(2, 14)))
+    ]
+    relation = GeneralizedRelation(Schema(attributes=("A", "B", "C", "D")), rows, TINY)
+    steps = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), st.booleans()),
+                          max_size=8))
+    return relation, fds, steps
+
+
+def _assert_kept_counts_are_current(session):
+    fresh = [EquivalenceClass(e.eq_id, e.cells) for e in session.eqs]
+    refresh_error_counts(session.relation, session.fds, fresh)
+    assert [e.error_count for e in session.eqs] == [e.error_count for e in fresh]
+    assert session.index.count == len(violations(session.relation, session.fds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=repair_runs())
+def test_kept_counts_match_full_recount_after_every_repair(run):
+    relation, fds, steps = run
+    session = start_session(relation, tuple(fds), Fraction(1), 2)
+    _assert_kept_counts_are_current(session)
+    for pick, value_pick, repair in steps:
+        if not session.eqs:
+            break
+        eq = session.eqs[pick % len(session.eqs)]
+        if repair:
+            attr = sorted(eq.attributes())[0]
+            values = _values(attr, 2)
+            value = values[value_pick % len(values)]
+            apply_repair(session, eq, value, TINY[attr].level[value])
+        else:  # as safe_clean drops a class it could not repair
+            session.eqs = [e for e in session.eqs if e is not eq]
+        _assert_kept_counts_are_current(session)
+
+
+def test_report_counts_match_recount(dirty, master, golden_support, dep_config, truth):
+    provider = embedded(master, golden_support, dep_config, k=1)
+    repaired, report = safe_clean(dirty, provider, PHI, Fraction(1), l_max=0)
+    assert report.violations_before == len(violations(dirty, PHI)) == 4
+    assert report.violations_after == len(violations(repaired, PHI))

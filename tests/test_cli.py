@@ -136,6 +136,29 @@ class TestInject:
                    "--manifest", str(tmp_path / "m.json")])
         assert rc == 2
 
+    def _inject(self, tmp_path, config, frac):
+        return main(["inject", "--truth", str(FIXTURES / "truth.csv"),
+                     "--hierarchies", str(FIXTURES / "hierarchies.json"),
+                     "--config", str(config), "--rate", "0.25",
+                     "--constraint-frac", frac, "--out", str(tmp_path / "d.csv"),
+                     "--manifest", str(tmp_path / "m.json")])
+
+    @pytest.mark.parametrize("frac", ["0", "1"])
+    def test_empty_fd_list_exit_code(self, capsys, tmp_path, frac):
+        doc = json.loads((FIXTURES / "config.json").read_text())
+        doc["fds"] = []
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert self._inject(tmp_path, config, frac) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "RateInfeasible"
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("frac", ["1.5", "-0.5"])
+    def test_constraint_frac_outside_unit_interval_exit_code(self, capsys, tmp_path, frac):
+        assert self._inject(tmp_path, FIXTURES / "config.json", frac) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "RateInfeasible"
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestClean:
     def test_golden_embedded_clean(self, capsys, tmp_path):

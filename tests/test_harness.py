@@ -1,6 +1,8 @@
 """Synthetic data generation, error injection and sweep plumbing."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pacas.anonymity import is_xy_anonymous
 from pacas.errors import RateInfeasible
@@ -13,7 +15,9 @@ from pacas.harness import (
     run_point,
     run_sweep,
 )
-from pacas.relation import is_consistent, violations
+from pacas.hierarchy import HierarchySet, load_hierarchy
+from pacas.relation import FD, GeneralizedRelation, Row, Schema, is_consistent, violations
+from pacas.rng import child_rng
 
 
 class TestGenerateMaster:
@@ -90,6 +94,130 @@ class TestInjection:
         _, manifest = inject_errors(bundle.truth, InjectionPlan(rate=0.25, seed=9),
                                     bundle.config.fds)
         assert all(e["attr"] in fd_attrs for e in manifest["entries"])
+
+
+    def test_empty_fd_list_rejected(self):
+        bundle = generate_master(seed=3)
+        for mix in ((0.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(RateInfeasible):
+                inject_errors(bundle.truth, InjectionPlan(rate=0.1, mix=mix, seed=3), [])
+
+    @pytest.mark.parametrize("mix", [(1.5, -0.5), (-0.5, 1.5), (2.0, -1.0)])
+    def test_mix_share_outside_unit_interval_rejected(self, mix):
+        with pytest.raises(RateInfeasible):
+            InjectionPlan(rate=0.1, mix=mix)
+
+
+# ---------------------------------------------------------------------------
+# injection against the rule that regroups every unused row before each error
+
+def regrouping_inject(truth, plan, fds):
+    """Reference rule: before each constraint-induced error, group every
+    unused truth row by the drawn FD's LHS and sort the shared vectors; list
+    the unused rows before each random error and the other domain values
+    before each redraw."""
+    rng = child_rng(plan.seed, "inject")
+    n_total = max(1, round(plan.rate * len(truth.rows)))
+    dirty = truth.copy()
+    used, entries = set(), []
+    domains = {a: sorted({row.values[a] for row in truth.rows}) for a in truth.schema.attributes}
+
+    def corrupt(tid, attr, kind):
+        row = dirty.row(tid)
+        old = row.values[attr]
+        choices = [v for v in domains[attr] if v != old]
+        if not choices:
+            raise RateInfeasible(f"attribute {attr!r} has a single-value domain")
+        new = rng.choice(choices)
+        row.values[attr] = new
+        used.add(tid)
+        entries.append({"tuple_id": tid, "attr": attr, "old": old, "new": new, "kind": kind})
+
+    fd_attrs = sorted({a for fd in fds for a in fd.lhs + fd.rhs})
+    ci_done = 0
+    for i in range(n_total):
+        if round(plan.mix[0] * (i + 1)) > ci_done:
+            ci_done += 1
+            fd = fds[rng.randrange(len(fds))]
+            groups = {}
+            for row in truth.rows:
+                if row.tid not in used:
+                    groups.setdefault(tuple(row.values[a] for a in fd.lhs), []).append(row.tid)
+            pairs = sorted(k for k, tids in groups.items() if len(tids) >= 2)
+            if not pairs:
+                raise RateInfeasible(
+                    "not enough LHS-sharing pairs left for constraint-induced errors"
+                )
+            key = pairs[rng.randrange(len(pairs))]
+            corrupt(rng.choice(groups[key]), rng.choice(fd.rhs), "constraint_induced")
+        else:
+            candidates = [row.tid for row in truth.rows if row.tid not in used]
+            if not candidates:
+                raise RateInfeasible("fewer tuples than requested errors")
+            corrupt(rng.choice(candidates), rng.choice(fd_attrs), "random")
+    return dirty, {"seed": plan.seed, "rate": plan.rate, "entries": entries}
+
+
+_ATTRS = ("A", "B", "C", "D", "E")
+_GROUND = {a: [f"{a}{i}" for i in range(4)] for a in _ATTRS}
+_HS = HierarchySet({
+    a: load_hierarchy({"attribute": a, "levels": 2, "nodes": [
+        {"value": "*", "level": 1, "parent": None},
+        *({"value": v, "level": 0, "parent": "*"} for v in _GROUND[a]),
+    ]})
+    for a in _ATTRS
+})
+# different and overlapping LHS; C is the RHS of one FD and in the LHS of another
+_FDS = (FD(("A", "B"), ("C",)), FD(("A",), ("D", "E")), FD(("B", "C"), ("E",)),
+        FD(("D",), ("B",)))
+
+
+@st.composite
+def consistent_truths(draw):
+    """A ground relation over A..E and two or more of _FDS that it satisfies:
+    every FD's RHS is a drawn function of its LHS, applied in dependency order."""
+    fds = draw(st.lists(st.sampled_from(_FDS), min_size=2, max_size=4))
+    n = draw(st.integers(1, 24))
+    rows = []
+    for i in range(n):
+        values = {a: draw(st.sampled_from(_GROUND[a])) for a in _ATTRS}
+        rows.append(Row(f"t{i}", values))
+    truth = GeneralizedRelation(Schema(attributes=_ATTRS), rows, _HS)
+    # rewrite each FD's RHS as a function of its LHS until every FD holds;
+    # the rare draw that has not settled after a few rounds is discarded
+    for _ in range(10):
+        if not violations(truth, fds):
+            break
+        for fd in fds:
+            image = {}
+            for row in truth.rows:
+                key = tuple(row.values[a] for a in fd.lhs)
+                image.setdefault(key, tuple(row.values[a] for a in fd.rhs))
+                row.values.update(zip(fd.rhs, image[key]))
+    assume(not violations(truth, fds))
+    return truth, fds
+
+
+def _outcome(inject, truth, plan, fds):
+    try:
+        dirty, manifest = inject(truth, plan, fds)
+    except RateInfeasible as exc:
+        return "RateInfeasible", str(exc)
+    return dirty.to_csv(), manifest
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    world=consistent_truths(),
+    rate=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.01, 1.0)),
+    mix=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.8, 0.2), (0.3, 0.7)]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_inject_matches_regrouping_rule(world, rate, mix, seed):
+    truth, fds = world
+    plan = InjectionPlan(rate=rate, mix=mix, seed=seed)
+    assert _outcome(inject_errors, truth, plan, fds) == \
+        _outcome(regrouping_inject, truth, plan, fds)
 
 
 class TestSweep:

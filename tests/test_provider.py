@@ -4,7 +4,7 @@ import pytest
 
 from pacas import pricing, provider
 from pacas.anonymity import AnonymitySpec, is_safe_query
-from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest
+from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnknownValue, UnsafeRequest
 from pacas.gquery import GeneralizedQuery, eval_ground
 from pacas.harness import generate_master
 from pacas.hierarchy import generalize_to
@@ -22,6 +22,20 @@ def make_session(master, support, k=1, levels=(0,), mds=None):
 
 
 T2 = {"GEN": "male", "AGE": "79", "DIAG": "osteoarthritis", "MED": "intropes"}
+
+
+class TestCuratedRelationMustBeGround:
+    def test_general_value_rejected(self, master, golden_support):
+        general = master.copy()
+        general.rows[0].values["MED"] = "NSAID"
+        with pytest.raises(UnknownValue):
+            make_session(general, golden_support)
+
+    def test_value_missing_from_hierarchy_rejected(self, master, golden_support):
+        unknown = master.copy()
+        unknown.rows[0].values["MED"] = "ibuprofenn"
+        with pytest.raises(UnknownValue):
+            make_session(unknown, golden_support)
 
 
 class TestTranslateRequest:

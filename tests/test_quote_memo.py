@@ -23,11 +23,11 @@ from hypothesis.stateful import (
 
 from pacas.anonymity import AnonymitySpec
 from pacas.hierarchy import generalize_to
-from pacas.pricing import SupportSet, baseline_price, commit_sale, safe_price
+from pacas.pricing import Member, SupportSet, baseline_price, commit_sale, safe_price
 from pacas.protocol import handle_message
 from pacas.provider import _QUOTE_MEMO_CAP, ProviderSession, ValueRequest, translate_request
 
-from test_gate_machine import MDS, requests, worlds
+from test_gate_machine import GROUND, MDS, requests, worlds
 
 # pay outcomes seen across every run of the machine
 SEEN: set = set()
@@ -70,7 +70,50 @@ class QuoteMemoMachine(RuleBasedStateMachine):
 
     @rule(req=requests, ask_first=st.booleans())
     def pay(self, req, ask_first):
-        """One session pays with a quote just asked, a fresh twin without."""
+        self.pay_both(req, ask_first)
+
+    @rule(row=st.integers(0, 99),
+          expected=st.sampled_from(("sold", "no_match", "unsafe_request")))
+    def pay_with_a_known_outcome(self, row, expected):
+        """Rebuild the support set so that a pay's outcome is known, then ask
+        and pay, so every run can meet each outcome whatever the world.
+
+        sold, no_match: pad the set with inserts that give every X-group
+        every ground Y-value, so every group keeps k candidates among the
+        instances that answer as the master does; buy S at the root level
+        for a master row's tuple, or for a P value no master row holds.
+        unsafe_request: the only member inserts, next to a master row, a Q
+        value that row's (P, S) never has, so no member answers that row's Q
+        request as the master does and the quote is infinite."""
+        r = self.master.rows[row % len(self.master.rows)].values
+        if expected == "unsafe_request":
+            qs = {t.values["Q"] for t in self.master.rows
+                  if (t.values["P"], t.values["S"]) == (r["P"], r["S"])}
+            odd = next(q for q in GROUND["Q"] if q not in qs)
+            members = [Member("insert", "+odd", payload=(("P", r["P"]), ("Q", odd), ("S", r["S"])))]
+            req = ("Q", 0, dict(r))
+        else:
+            members = list(self.session.support.members)
+            # worlds hold at most two of the four ground P values
+            held = sorted({t.values["P"] for t in self.master.rows})
+            padding = (
+                Member("insert", f"+pad:{p}:{s}",
+                       payload=(("P", p), ("Q", GROUND["Q"][0]), ("S", s)))
+                for p in held
+                for s in GROUND["S"]
+            )
+            members += [m for m in padding if m not in members]
+            if expected == "sold":
+                req = ("S", 2, dict(r))
+            else:
+                absent = next(p for p in GROUND["P"] if p not in held)
+                req = ("S", 2, {"P": absent, "Q": GROUND["Q"][0], "S": GROUND["S"][0]})
+        self.session = self.new_session(members)
+        assert self.pay_both(req, ask_first=True) == expected
+
+    def pay_both(self, req, ask_first) -> str:
+        """One session pays with a quote just asked, a fresh twin without;
+        returns the outcome, "sold" or the error."""
         request, client = self.see(req)
         twin = self.new_session(self.session.support.members)
         q, (quote, _) = self.fresh(request, client)
@@ -85,12 +128,14 @@ class QuoteMemoMachine(RuleBasedStateMachine):
             outcomes.append(handle_message(session, message))
             sales.append(session.ledger[ledger:])
         assert outcomes[0] == outcomes[1]
-        SEEN.add(outcomes[0].get("error", "sold"))
+        outcome = outcomes[0].get("error", "sold")
+        SEEN.add(outcome)
         assert sales[0] == sales[1]
         assert self.session.support.members == twin.support.members
         if outcomes[0]["ok"]:
             assert outcomes[0]["value"] == brute_force_sale(self.master, q, request.level)
             assert self.session._quotes == {}
+        return outcome
 
     @rule()
     def info(self):

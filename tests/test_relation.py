@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacas.errors import DuplicateTupleId, StaleClass, UnknownValue
-from pacas.hierarchy import HierarchySet, generalizes, load_hierarchy
+from pacas.hierarchy import HierarchySet, ancestors, generalizes, load_hierarchy
 from pacas.relation import (
     FD,
     EquivalenceClass,
@@ -293,3 +293,86 @@ def test_refresh_error_counts_matches_per_class_rule(seed):
         attr = rng.choice(rel.schema.attributes)
         row.values[attr] = rng.choice(sorted(v for v, lvl in hs[attr].level.items() if lvl == 0))
     _assert_counts_match_rule(rel, fds, eqs)
+
+
+# ---------------------------------------------------------------------------
+# the grouped scan against the pairwise rule it replaced
+
+def pairwise_violations(relation, fds):
+    """Reference rule: group rows by all-ground LHS vector in order of first
+    row, then compare every pair of rows of a group, walking ancestor chains."""
+    hs = relation.hierarchies
+    out = []
+    for fd in fds:
+        groups = {}
+        for row in relation.rows:
+            if all(hs[a].level_of(row.values[a]) == 0 for a in fd.lhs):
+                groups.setdefault(tuple(row.values[a] for a in fd.lhs), []).append(row)
+        for members in groups.values():
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    if not all(b.values[y] in ancestors(hs[y], a.values[y])
+                               or a.values[y] in ancestors(hs[y], b.values[y])
+                               for y in fd.rhs):
+                        out.append((fd, *sorted((a.tid, b.tid))))
+    return out
+
+
+_TINY = _tiny_hierarchies()
+_ALL_VALUES = {a: sorted(_TINY[a].level) for a in ("A", "B", "C", "D")}
+
+
+@st.composite
+def relations_and_fds(draw):
+    """Rows over A..D with values from every level (LHS values mostly
+    ground, so groups form) and one to three FDs, RHS of one or two
+    attributes."""
+    attrs = ("A", "B", "C", "D")
+    rows = []
+    for i in range(draw(st.integers(0, 14))):
+        values = {}
+        for a in attrs:
+            if draw(st.integers(0, 3)):
+                values[a] = draw(st.sampled_from([v for v in _ALL_VALUES[a]
+                                                  if _TINY[a].level[v] == 0]))
+            else:
+                values[a] = draw(st.sampled_from(_ALL_VALUES[a]))
+        rows.append(Row(f"t{draw(st.integers(0, 99)):02d}-{i}", values))
+    fds = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(attrs))
+        cut = draw(st.integers(1, 2))
+        fds.append(FD(lhs=tuple(order[:cut]), rhs=tuple(order[cut:cut + draw(st.integers(1, 2))])))
+    return GeneralizedRelation(Schema(attributes=attrs), rows, _TINY), fds
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=relations_and_fds())
+def test_violations_match_pairwise_rule_in_order(world):
+    rel, fds = world
+    assert violations(rel, fds) == pairwise_violations(rel, fds)
+
+
+class TestUnknownValues:
+    """The table lookups that replaced the checked walks still reject values
+    missing from the hierarchy."""
+
+    def _relation(self, hierarchies, **cells):
+        values = {"GEN": "male", "DIAG": "ulcer", "MED": "dolex", **cells}
+        rows = [Row("t1", values), Row("t2", dict(values))]
+        return GeneralizedRelation(Schema(attributes=("GEN", "DIAG", "MED")), rows, hierarchies)
+
+    def test_generalizes_rejects_unknown_lower_and_upper(self, hierarchies):
+        h = hierarchies.for_attribute("MED")
+        with pytest.raises(UnknownValue):
+            generalizes(h, "ibuprofenn", "NSAID")
+        with pytest.raises(UnknownValue):
+            generalizes(h, "ibuprofen", "NSAIDD")
+
+    def test_is_ground_rejects_unknown_value(self, hierarchies):
+        with pytest.raises(UnknownValue):
+            self._relation(hierarchies, MED="dolexx").is_ground()
+
+    def test_lhs_key_rejects_unknown_value(self, hierarchies):
+        with pytest.raises(UnknownValue):
+            violations(self._relation(hierarchies, DIAG="ulcerr"), [PHI])
