@@ -31,7 +31,6 @@ from .relation import (
     EquivalenceClass,
     FDIndex,
     GeneralizedRelation,
-    generate_eqs,
     resolved,
 )
 
@@ -40,10 +39,10 @@ from .relation import (
 class RepairSession:
     """The working copy and what the repair loop keeps about it.
 
-    `index` holds each FD's LHS groups and violating pairs, `order` each
-    tuple's row position and `eqs_of` the classes with a cell on each tuple,
-    all for the whole session. A repair rescans only the groups that hold the
-    repaired tuples and recounts only the classes on those groups' tuples;
+    `index` holds each FD's LHS groups, violating pairs and each tuple's row
+    position, and `eqs_of` the classes with a cell on each tuple, all for the
+    whole session. A repair rescans only the groups that hold the repaired
+    tuples and recounts only the classes on those groups' tuples;
     `refresh_error_counts` stays the full-recount oracle."""
 
     relation: GeneralizedRelation
@@ -53,7 +52,6 @@ class RepairSession:
     l_max: Mapping[str, int]
     eqs: list[EquivalenceClass]
     index: FDIndex
-    order: dict[str, int]
     eqs_of: dict[str, list[EquivalenceClass]]
     purchases: list[dict] = field(default_factory=list)
 
@@ -76,7 +74,7 @@ def start_session(
         caps[attr] = min(int(cap), relation.hierarchies.for_attribute(attr).height)
     working = relation.copy()
     index = FDIndex(working, fds)
-    eqs = [eq for eq in generate_eqs(working, fds) if not resolved(working, eq)]
+    eqs = [eq for eq in index.classes() if not resolved(working, eq)]
     eqs_of: dict[str, list[EquivalenceClass]] = {}
     for eq in eqs:
         eq.error_count = index.error_count(eq.cells)
@@ -90,7 +88,6 @@ def start_session(
         l_max=caps,
         eqs=eqs,
         index=index,
-        order={row.tid: i for i, row in enumerate(working.rows)},
         eqs_of=eqs_of,
     )
 
@@ -112,7 +109,7 @@ def allocate(session: RepairSession, eq: EquivalenceClass) -> Fraction:
 
 
 def _cell_order(session: RepairSession, eq: EquivalenceClass) -> list[tuple[str, str]]:
-    order = session.order
+    order = session.index.order
     return sorted(eq.cells, key=lambda cell: (order[cell[0]], cell[1]))
 
 

@@ -22,11 +22,11 @@ from . import metrics
 from .anonymity import AnonymitySpec
 from .cleaner import safe_clean
 from .errors import RateInfeasible, UnknownValue
-from .hierarchy import HierarchySet, load_hierarchy
+from .hierarchy import HierarchySet, load_hierarchy_set
 from .pricing import build_support_set
 from .protocol import EmbeddedProvider
 from .provider import ProviderSession
-from .relation import FD, MD, DependencyConfig, GeneralizedRelation, Row, Schema, violations
+from .relation import FD, MD, DependencyConfig, FDIndex, GeneralizedRelation, Row, Schema
 from .rng import child_rng
 
 # ---------------------------------------------------------------------------
@@ -77,10 +77,7 @@ def generate_master(seed: int = 0) -> SyntheticBundle:
     medications give per-group sensitive diversities of 3 to 5 distinct
     values, keeping the relation FD-consistent and (X,Y)-anonymous at k=3.
     """
-    hierarchies = HierarchySet()
-    for doc in _HIERARCHIES:
-        h = load_hierarchy(doc)
-        hierarchies[h.attribute] = h
+    hierarchies = load_hierarchy_set(_HIERARCHIES)
     rng = child_rng(seed, "master")
     schema = Schema(
         attributes=("GEN", "AGE", "DIAG", "MED"),
@@ -142,20 +139,21 @@ def inject_errors(
     FD LHS; random errors redraw any FD-attribute cell. At most one error per
     tuple; the manifest round-trips the dirty relation from the truth.
 
-    Each FD's truth rows are grouped once per call. The call keeps, per FD,
-    the sorted LHS vectors that at least two unused tuples share and each
-    vector's unused tuples in row order, and it keeps all unused tuples in
-    row order. Corrupting a tuple updates them with binary searches and list
-    deletions, so no error makes a pass over every row or sorts every group
-    key. The draws, and so the dirty relation and manifest, are those of
-    regrouping every unused row before each error.
+    One `FDIndex` over the truth checks it and groups each FD's rows. The
+    call keeps, per FD, the sorted LHS vectors that at least two unused
+    tuples share and each vector's unused tuples in row order, and it keeps
+    all unused tuples in row order. Corrupting a tuple updates them with
+    binary searches and list deletions, so no error makes a pass over every
+    row or sorts every group key. The draws, and so the dirty relation and
+    manifest, are those of regrouping every unused row before each error.
     """
     fds = tuple(fds)
     if not fds:
         raise RateInfeasible("error injection needs at least one FD")
     if not truth.is_ground():
         raise UnknownValue("truth relation must be ground before injection")
-    if violations(truth, fds):
+    index = FDIndex(truth, fds)
+    if index.count:
         raise UnknownValue("truth relation must satisfy the FDs before injection")
     rng = child_rng(plan.seed, "inject")
     n_total = max(1, round(plan.rate * len(truth.rows)))
@@ -165,18 +163,12 @@ def inject_errors(
     fd_attrs = sorted({a for fd in fds for a in fd.lhs + fd.rhs})
     domains = {a: sorted({row.values[a] for row in truth.rows}) for a in fd_attrs}
     rank = {a: {v: i for i, v in enumerate(domain)} for a, domain in domains.items()}
-    position = {row.tid: i for i, row in enumerate(truth.rows)}
     unused = list(range(len(truth.rows)))  # row positions of untouched tuples
     # per FD: LHS vector -> its unused tuples in row order, and the sorted
     # vectors at least two unused tuples share
-    members: list[dict[tuple, list[str]]] = []
-    shared: list[list[tuple]] = []
-    for fd in fds:
-        groups: dict[tuple, list[str]] = {}
-        for row in truth.rows:
-            groups.setdefault(tuple(row.values[a] for a in fd.lhs), []).append(row.tid)
-        members.append(groups)
-        shared.append(sorted(k for k, tids in groups.items() if len(tids) >= 2))
+    members = [{key: [row.tid for row in rows] for key, rows in groups.items()}
+               for groups in index.groups]
+    shared = [sorted(k for k, tids in groups.items() if len(tids) >= 2) for groups in members]
 
     def corrupt(tid: str, attr: str, kind: str) -> None:
         row = dirty.row(tid)
@@ -189,7 +181,7 @@ def inject_errors(
         new = domain[i + (i >= rank[attr][old])]
         row.values[attr] = new
         entries.append({"tuple_id": tid, "attr": attr, "old": old, "new": new, "kind": kind})
-        del unused[bisect_left(unused, position[tid])]
+        del unused[bisect_left(unused, index.order[tid])]
         values = truth.row(tid).values
         for fd, groups, keys in zip(fds, members, shared):
             key = tuple(values[a] for a in fd.lhs)

@@ -1,8 +1,9 @@
 """Newline-delimited JSON transport for the provider endpoints.
 
-One JSON object per line, UTF-8, unknown fields ignored. A `request`,
-`tuple` or `price` field of another type than shown (a bool is not an int)
-gets invalid_request. Ops:
+One JSON object per line, UTF-8, unknown fields ignored. A line longer
+than _MAX_LINE bytes, its newline included, is read through, dropped and
+answered with one bad_json reply. A `request`, `tuple` or `price` field of
+another type than shown (a bool is not an int) gets invalid_request. Ops:
 
   -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{str:str}}
   <- {"ok":true,"price":int|"infinite"}
@@ -44,6 +45,7 @@ _ERROR_CODES = {
 _CODE_ERRORS = {code: exc for exc, code in _ERROR_CODES.items()}
 
 _TIMEOUT_S = 30.0  # seconds a connect or a reply may take
+_MAX_LINE = 65_536  # bytes a request line may hold, its newline included
 
 
 def encode_price(amount) -> object:
@@ -111,14 +113,19 @@ class ProviderServer(socketserver.ThreadingTCPServer):
 class _ProviderHandler(socketserver.StreamRequestHandler):
     def handle(self):
         session = self.server.session_factory()
-        for raw in self.rfile:
+        while raw := self.rfile.readline(_MAX_LINE + 1):
             try:
+                if len(raw) > _MAX_LINE:
+                    while raw and not raw.endswith(b"\n"):  # drop the rest in bounded chunks
+                        raw = self.rfile.readline(_MAX_LINE)
+                    raise ValueError("request line over the cap")
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
                 message = json.loads(line)
             except (ValueError, RecursionError):
-                # bad UTF-8 and bad JSON raise ValueError, deep nesting RecursionError
+                # an overlong line, bad UTF-8 and bad JSON raise ValueError, deep
+                # nesting RecursionError
                 response = {"ok": False, "error": "bad_json"}
             else:
                 response = handle_message(session, message)

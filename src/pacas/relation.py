@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import hierarchy as hi
-from .errors import DuplicateTupleId, StaleClass, UnknownAttribute, UnknownValue
+from .errors import DuplicateTupleId, SchemaMismatch, StaleClass, UnknownAttribute, UnknownValue
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def load_relation(
     sensitive: Iterable[str] = (),
 ) -> GeneralizedRelation:
     """Load a CSV relation (header row, first column is the tuple id) and
-    resolve every cell against the attribute hierarchies."""
+    resolve every cell against the attribute hierarchies. Every record holds
+    one cell per header column; blank lines are skipped."""
     if "\n" in str(source):
         text = str(source)
     else:
@@ -143,6 +144,9 @@ def load_relation(
         if not record:
             continue
         tid, cells = record[0], record[1:]
+        if len(record) != len(header):
+            raise SchemaMismatch(
+                f"tuple {tid!r} has {len(record)} cells; the header has {len(header)} columns")
         if tid in seen:
             raise DuplicateTupleId(f"duplicate tuple id {tid!r}")
         seen.add(tid)
@@ -204,17 +208,6 @@ def _ground_lhs_key(row: Row, levels) -> tuple | None:
     return tuple(key)
 
 
-def _lhs_groups(relation: GeneralizedRelation, fd: FD) -> dict[tuple, list[Row]]:
-    """Rows sharing one all-ground LHS vector, grouped in row order."""
-    levels = _levels(relation, fd.lhs)
-    groups: dict[tuple, list[Row]] = {}
-    for row in relation.rows:
-        key = _ground_lhs_key(row, levels)
-        if key is not None:
-            groups.setdefault(key, []).append(row)
-    return groups
-
-
 def _violating_pairs(
     relation: GeneralizedRelation, members: list[Row], rhs: tuple[str, ...]
 ) -> list[tuple[str, str]]:
@@ -243,43 +236,42 @@ def _violating_pairs(
 def violations(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[tuple[FD, str, str]]:
     """Every violating tuple pair per FD, as (fd, tid_low, tid_high), ordered
     by FD, then by LHS group in order of first row, then as a pairwise scan
-    of the group's rows would meet them.
-
-    One grouping pass per FD; inside a group only the distinct RHS vectors are
-    compared, so a scan costs O(n + sum of squared distinct RHS vectors per
-    group + pairs returned), not one comparison per pair of rows."""
-    out: list[tuple[FD, str, str]] = []
-    for fd in fds:
-        for attr in fd.lhs + fd.rhs:
-            relation.schema.require(attr)
-        for members in _lhs_groups(relation, fd).values():
-            out += [(fd, *pair) for pair in _violating_pairs(relation, members, fd.rhs)]
-    return out
+    of the group's rows would meet them: the pairs of a fresh `FDIndex`."""
+    index = FDIndex(relation, fds)
+    return [(fd, *pair) for fd, pairs in zip(index.fds, index._pairs)
+            for found in pairs.values() for pair in found]
 
 
 class FDIndex:
     """Each FD's LHS groups over one relation and the violating pairs inside
-    each group, kept current while the relation's cells change.
+    each group, kept current while the relation's cells change: the only
+    code that groups rows by their ground LHS vector.
 
-    Building costs one `violations` scan. After the cells (t, a), t in tids
-    and a in attrs, are rewritten, `update` regroups those tuples under each
-    FD whose LHS holds a rewritten attribute and rescans only the groups that
-    hold them before or after, so a step costs O(|tids|) plus the size of
-    those groups, not O(n)."""
+    Building is one grouping pass per FD; groups and pairs start in order of
+    first row. Inside a group only the distinct RHS vectors are compared.
+    After the cells (t, a), t in tids and a in attrs, are rewritten, `update`
+    regroups those tuples under each FD whose LHS holds a rewritten attribute
+    and rescans only the groups that hold them before or after, so a step
+    costs O(|tids|) plus the size of those groups, not O(n)."""
 
     def __init__(self, relation: GeneralizedRelation, fds: Iterable[FD]):
         self.relation = relation
         self.fds = tuple(fds)
         self.count = 0  # violating pairs over all FDs, as len(violations(...))
+        self.order = {row.tid: i for i, row in enumerate(relation.rows)}  # row positions
         self._keys: list[dict[str, tuple]] = []  # per FD: tid -> LHS key of a grouped tuple
-        self._groups: list[dict[tuple, list[Row]]] = []  # per FD: LHS key -> rows
+        self.groups: list[dict[tuple, list[Row]]] = []  # per FD: LHS key -> rows
         self._pairs: list[dict[tuple, list[tuple[str, str]]]] = []  # per FD: key -> pairs
         for i, fd in enumerate(self.fds):
             for attr in fd.lhs + fd.rhs:
                 relation.schema.require(attr)
-            groups = _lhs_groups(relation, fd)
+            levels = _levels(relation, fd.lhs)
+            groups: dict[tuple, list[Row]] = {}
+            for row in relation.rows:
+                if (key := _ground_lhs_key(row, levels)) is not None:
+                    groups.setdefault(key, []).append(row)
             self._keys.append({row.tid: key for key, rows in groups.items() for row in rows})
-            self._groups.append(groups)
+            self.groups.append(groups)
             self._pairs.append({})
             for key in groups:
                 self._rescan(i, key)
@@ -287,7 +279,7 @@ class FDIndex:
     def _rescan(self, i: int, key: tuple) -> None:
         pairs = self._pairs[i]
         self.count -= len(pairs.pop(key, ()))
-        members = self._groups[i].get(key, ())
+        members = self.groups[i].get(key, ())
         if len(members) > 1:
             found = _violating_pairs(self.relation, members, self.fds[i].rhs)
             if found:
@@ -302,7 +294,7 @@ class FDIndex:
         for i, fd in enumerate(self.fds):
             if attrs.isdisjoint(fd.lhs + fd.rhs):
                 continue
-            keys, groups = self._keys[i], self._groups[i]
+            keys, groups = self._keys[i], self.groups[i]
             if attrs.isdisjoint(fd.lhs):
                 stale = {keys[t] for t in tids if t in keys}
             else:
@@ -339,6 +331,33 @@ class FDIndex:
                 found.update(p for p in pairs.get(key, ()) if p[0] in tids or p[1] in tids)
         return len(found)
 
+    def classes(self) -> list["EquivalenceClass"]:
+        """Each RHS attribute's cells, clustered over the LHS groups of every
+        FD with the attribute on its right, merged transitively; singletons
+        kept. Numbered in order of first row, then attribute. Each group is
+        merged once per attribute, so this costs O(n) per RHS attribute."""
+        attrs = sorted({a for fd in self.fds for a in fd.rhs})
+        placed = {attr: set() for attr in attrs}  # tids whose cell on attr has a class
+        merged = set()  # (attr, FD, LHS key) of the groups already merged
+        out: list[EquivalenceClass] = []
+        for row in self.relation.rows:
+            for attr in (a for a in attrs if row.tid not in placed[a]):
+                placed[attr].add(row.tid)
+                cells, stack = [], [row.tid]
+                while stack:
+                    tid = stack.pop()
+                    cells.append((tid, attr))
+                    for i, fd in enumerate(self.fds):
+                        key = self._keys[i].get(tid) if attr in fd.rhs else None
+                        if key is None or (attr, i, key) in merged:
+                            continue
+                        merged.add((attr, i, key))
+                        fresh = [r.tid for r in self.groups[i][key] if r.tid not in placed[attr]]
+                        placed[attr].update(fresh)
+                        stack += fresh
+                out.append(EquivalenceClass(len(out) + 1, frozenset(cells)))
+        return out
+
 
 def is_consistent(relation: GeneralizedRelation, fds: Iterable[FD]) -> tuple[bool, list[tuple[FD, str, str]]]:
     found = violations(relation, fds)
@@ -355,56 +374,11 @@ class EquivalenceClass:
         return {attr for _, attr in self.cells}
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def generate_eqs(relation: GeneralizedRelation, fds: Iterable[FD]) -> list[EquivalenceClass]:
     """Cluster RHS cells whose tuples agree on ground LHS values, closing the
     merge transitively across all FDs. Singleton classes are kept; callers
     filter the resolved ones."""
-    fds = tuple(fds)
-    uf = _UnionFind()
-    for fd in fds:
-        for row in relation.rows:
-            for attr in fd.rhs:
-                uf.add((row.tid, attr))
-    for fd in fds:
-        for members in _lhs_groups(relation, fd).values():
-            anchor = members[0]
-            for other in members[1:]:
-                for attr in fd.rhs:
-                    uf.union((anchor.tid, attr), (other.tid, attr))
-
-    clusters: dict[tuple, set[tuple[str, str]]] = {}
-    for cell in uf.parent:
-        clusters.setdefault(uf.find(cell), set()).add(cell)
-
-    order = {row.tid: i for i, row in enumerate(relation.rows)}
-    sorted_clusters = sorted(
-        clusters.values(), key=lambda cells: min((order[t], a) for t, a in cells)
-    )
-    return [
-        EquivalenceClass(eq_id=i + 1, cells=frozenset(cells))
-        for i, cells in enumerate(sorted_clusters)
-    ]
+    return FDIndex(relation, fds).classes()
 
 
 def refresh_error_counts(

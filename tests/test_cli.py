@@ -160,6 +160,36 @@ class TestInject:
         assert not (tmp_path / "d.csv").exists()
 
 
+def ragged_copy(tmp_path, name):
+    """The fixture CSV with its last record cut to four cells."""
+    lines = (FIXTURES / name).read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestRaggedCsv:
+    """A record with fewer or more cells than the header is an input error."""
+
+    def test_clean_exit_code(self, capsys, tmp_path):
+        rc = main(["clean", "--input", str(ragged_copy(tmp_path, "dirty.csv")),
+                   "--master", str(FIXTURES / "master.csv"), *fixture_args(),
+                   "--budget", "1", "--support", str(FIXTURES / "golden_support.json"),
+                   "--out", str(tmp_path / "repaired.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaMismatch"
+        assert not (tmp_path / "repaired.csv").exists()
+
+    def test_inject_exit_code(self, capsys, tmp_path):
+        rc = main(["inject", "--truth", str(ragged_copy(tmp_path, "truth.csv")),
+                   *fixture_args(), "--rate", "0.25",
+                   "--out", str(tmp_path / "d.csv"), "--manifest", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaMismatch"
+        assert not (tmp_path / "d.csv").exists()
+
+
 class TestClean:
     def test_golden_embedded_clean(self, capsys, tmp_path):
         rc = main(["clean", "--input", str(FIXTURES / "dirty.csv"),

@@ -11,6 +11,7 @@ import pytest
 from pacas.anonymity import AnonymitySpec
 from pacas.pricing import SupportSet, build_support_set
 from pacas.protocol import (
+    _MAX_LINE,
     EmbeddedProvider,
     RemoteProvider,
     handle_message,
@@ -308,6 +309,29 @@ class TestSocketTransport:
                 second = json.loads(f.readline())
                 assert (first["ok"], first["error"]) == (False, error)
                 assert second == {"ok": True, "total_weight": 12}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("line, reply", [
+        (b"x" * (4 * _MAX_LINE - 1), {"ok": False, "error": "bad_json"}),
+        (b'{"op":"info"' + b" " * (_MAX_LINE - 13) + b"}", {"ok": False, "error": "bad_json"}),
+        (b'{"op":"info"' + b" " * (_MAX_LINE - 14) + b"}", {"ok": True, "total_weight": 12}),
+        (b"[" * 10_000, {"ok": False, "error": "bad_json"}),
+    ], ids=["four_caps", "one_byte_over", "at_the_cap", "deep_nesting_under_the_cap"])
+    def test_line_cap(self, master, dep_config, line, reply):
+        """A line over the cap, newline included, is dropped with one bad_json
+        reply and the connection stays open; a line at the cap is served."""
+        factory = make_factory(master, dep_config,
+                               support_path=FIXTURES / "golden_support.json")
+        server, port = start_server(factory)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                f.write(line + b'\n{"op":"info"}\n')
+                f.flush()
+                assert json.loads(f.readline()) == reply
+                assert json.loads(f.readline()) == {"ok": True, "total_weight": 12}
         finally:
             server.shutdown()
             server.server_close()

@@ -1,12 +1,14 @@
 """Relation loading, generalized consistency, equivalence classes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacas.errors import DuplicateTupleId, StaleClass, UnknownValue
+from pacas.cleaner import start_session
+from pacas.errors import DuplicateTupleId, SchemaMismatch, StaleClass, UnknownValue
 from pacas.hierarchy import HierarchySet, ancestors, generalizes, load_hierarchy
 from pacas.relation import (
     FD,
@@ -56,6 +58,20 @@ class TestLoading:
         csv_text = "ID,GEN\nt1,male\nt1,female\n"
         with pytest.raises(DuplicateTupleId):
             load_relation(csv_text, hierarchies)
+
+    def test_short_row(self, hierarchies):
+        csv_text = "ID,GEN,AGE,DIAG,MED\nt1,male,79,osteoarthritis\n"
+        with pytest.raises(SchemaMismatch, match=r"'t1' has 4 cells.* 5 columns"):
+            load_relation(csv_text, hierarchies)
+
+    def test_long_row(self, hierarchies):
+        csv_text = "ID,GEN,AGE,DIAG,MED\nt1,male,79,osteoarthritis,ibuprofen,dolex\n"
+        with pytest.raises(SchemaMismatch, match=r"'t1' has 6 cells.* 5 columns"):
+            load_relation(csv_text, hierarchies)
+
+    def test_blank_lines_skipped(self, hierarchies):
+        csv_text = "ID,GEN,AGE,DIAG,MED\n\nt1,male,79,osteoarthritis,ibuprofen\n\n"
+        assert [row.tid for row in load_relation(csv_text, hierarchies).rows] == ["t1"]
 
 
 class TestConsistency:
@@ -293,6 +309,60 @@ def test_refresh_error_counts_matches_per_class_rule(seed):
         attr = rng.choice(rel.schema.attributes)
         row.values[attr] = rng.choice(sorted(v for v, lvl in hs[attr].level.items() if lvl == 0))
     _assert_counts_match_rule(rel, fds, eqs)
+
+
+# ---------------------------------------------------------------------------
+# the index's clustering against the union-find it replaced
+
+def union_find_eqs(relation, fds):
+    """Reference rule: union every RHS cell with the same attribute's cell of
+    its LHS group's first row, per FD, then number the clusters in order of
+    (first row, attribute)."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    hs = relation.hierarchies
+    for fd in fds:
+        for row in relation.rows:
+            for attr in fd.rhs:
+                parent.setdefault((row.tid, attr), (row.tid, attr))
+    for fd in fds:
+        groups = {}
+        for row in relation.rows:
+            if all(hs[a].level_of(row.values[a]) == 0 for a in fd.lhs):
+                groups.setdefault(tuple(row.values[a] for a in fd.lhs), []).append(row)
+        for members in groups.values():
+            for other in members[1:]:
+                for attr in fd.rhs:
+                    ra, rb = find((members[0].tid, attr)), find((other.tid, attr))
+                    if ra != rb:
+                        parent[rb] = ra
+    clusters = {}
+    for cell in parent:
+        clusters.setdefault(find(cell), set()).add(cell)
+    order = {row.tid: i for i, row in enumerate(relation.rows)}
+    ranked = sorted(clusters.values(), key=lambda cells: min((order[t], a) for t, a in cells))
+    return [EquivalenceClass(i + 1, frozenset(cells)) for i, cells in enumerate(ranked)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_generate_eqs_matches_union_find(seed):
+    hs = _tiny_hierarchies()
+    rng = random.Random(seed)
+    rel = _random_relation(rng, hs, rng.randint(2, 4), rng.randint(1, 12), allow_general=True)
+    attrs = rel.schema.attributes
+    fds = (_random_fds(rng, attrs) + _random_fds(rng, attrs))[:rng.randint(1, 3)]
+    expected = [(eq.eq_id, eq.cells) for eq in union_find_eqs(rel, fds)]
+    assert [(eq.eq_id, eq.cells) for eq in generate_eqs(rel, fds)] == expected
+    session = start_session(rel, tuple(fds), Fraction(1), 0)
+    assert [(eq.eq_id, eq.cells) for eq in session.eqs] == [
+        (eq.eq_id, eq.cells) for eq in union_find_eqs(rel, fds) if not resolved(rel, eq)
+    ]
 
 
 # ---------------------------------------------------------------------------
