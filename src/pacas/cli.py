@@ -46,7 +46,7 @@ def _load_inputs(args):
 def _session_factory(args, hierarchies, config):
     """Session builder over the file master, and the loaded master. The gate
     counts ground Y-candidates, so the spec's levels are all 0."""
-    master = load_relation(args.master, hierarchies, qi=config.qi, sensitive=config.sensitive)
+    master = load_relation(args.master, hierarchies)
     spec = AnonymitySpec(x=config.qi, y=config.sensitive,
                          levels=(0,) * len(config.sensitive), k=args.k)
     if args.support:
@@ -86,6 +86,7 @@ def _parse_lmax(raw: str):
 
 def cmd_serve(args) -> int:
     factory, _ = _session_factory(args, *_load_inputs(args))
+    factory()  # a master, config or snapshot no session accepts exits here, not per connection
     fingerprint = hashlib.sha256(Path(args.master).read_bytes()).hexdigest()[:12]
     server = ProviderServer((args.host, args.port), factory)
     port = server.server_address[1]
@@ -108,7 +109,7 @@ def cmd_serve(args) -> int:
 
 def cmd_clean(args) -> int:
     hierarchies, config = _load_inputs(args)
-    dirty = load_relation(args.input, hierarchies, qi=config.qi, sensitive=config.sensitive)
+    dirty = load_relation(args.input, hierarchies)
     if ":" in args.master and not Path(args.master).exists():
         host, _, port = args.master.rpartition(":")
         provider, master = RemoteProvider(host, int(port)), None
@@ -120,8 +121,7 @@ def cmd_clean(args) -> int:
         truth = None
         metric_ctx = None
         if args.truth:
-            truth = load_relation(args.truth, hierarchies, qi=config.qi,
-                                  sensitive=config.sensitive)
+            truth = load_relation(args.truth, hierarchies)
             reference = master if master is not None else truth
             metric_ctx = metrics.MetricContext(reference)
         repaired, report = safe_clean(
@@ -155,8 +155,7 @@ def cmd_price(args) -> int:
 
 def cmd_check_anon(args) -> int:
     hierarchies, config = _load_inputs(args)
-    relation = load_relation(args.relation, hierarchies, qi=config.qi,
-                             sensitive=config.sensitive)
+    relation = load_relation(args.relation, hierarchies)
     x = tuple(args.x.split(",")) if args.x else config.qi
     y = tuple(args.y.split(",")) if args.y else config.sensitive
     levels = _parse_levels(args.levels, len(y))
@@ -176,7 +175,7 @@ def cmd_check_anon(args) -> int:
 
 def cmd_inject(args) -> int:
     hierarchies, config = _load_inputs(args)
-    truth = load_relation(args.truth, hierarchies, qi=config.qi, sensitive=config.sensitive)
+    truth = load_relation(args.truth, hierarchies)
     plan = InjectionPlan(rate=args.rate, mix=(args.constraint_frac, 1 - args.constraint_frac),
                          seed=args.seed)
     dirty, manifest = inject_errors(truth, plan, config.fds)

@@ -79,12 +79,7 @@ def generate_master(seed: int = 0) -> SyntheticBundle:
     """
     hierarchies = load_hierarchy_set(_HIERARCHIES)
     rng = child_rng(seed, "master")
-    schema = Schema(
-        attributes=("GEN", "AGE", "DIAG", "MED"),
-        qi=("GEN", "AGE"),
-        sensitive=("MED",),
-        key="ID",
-    )
+    schema = Schema(attributes=("GEN", "AGE", "DIAG", "MED"), key="ID")
     rows: list[Row] = []
     n = 0
     for g, gender in enumerate(("male", "female")):
@@ -242,12 +237,10 @@ class SweepConfig:
     @classmethod
     def from_json(cls, source: str | Path | dict) -> "SweepConfig":
         doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in doc:
-                value = doc[name]
-                kwargs[name] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)
+        if unknown := sorted(set(doc) - set(cls.__dataclass_fields__)):
+            raise ValueError(f"unknown sweep config keys {unknown}")
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in doc.items()})
 
 
 def run_point(

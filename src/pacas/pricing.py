@@ -27,13 +27,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .anonymity import AnonymitySpec, xgroups
-from .errors import (
-    DuplicateTupleId,
-    EmptyRelation,
-    MalformedSnapshot,
-    PacasError,
-    StalePartition,
-)
+from .errors import EmptyRelation, MalformedSnapshot, PacasError, StalePartition
 from .gquery import GeneralizedQuery, eval_gq
 from .hierarchy import generalize_to
 from .relation import GeneralizedRelation, Row
@@ -137,9 +131,8 @@ class SupportSet:
 
     @classmethod
     def from_json(cls, doc: dict, reference: GeneralizedRelation) -> "SupportSet":
-        """Parse a snapshot, rejecting every member the reference's schema and
-        hierarchies cannot hold. An update of a missing tuple and an insert
-        that reuses a tuple id fail at quote time instead."""
+        """Parse a snapshot, rejecting every member the reference cannot
+        hold, so every quote can apply every member."""
         try:
             members = [Member.from_json(m) for m in doc["members"]]
             seed = int(doc.get("seed", 0))
@@ -155,9 +148,15 @@ class SupportSet:
 
 
 def _check_member(reference: GeneralizedRelation, member: Member) -> None:
-    """Reject an edit naming an attribute outside the schema, an insert that
-    does not fill exactly the schema's attributes, and non-ground values."""
+    """Reject an update or delete of a tuple the reference lacks, an insert
+    reusing a tuple id it holds, an edit naming an attribute outside the
+    schema, an insert that does not fill exactly the schema's attributes, and
+    non-ground values."""
     attrs = reference.schema.attributes
+    held = member.tid in reference._by_tid
+    if held == (member.kind == "insert"):
+        raise MalformedSnapshot(f"{member.kind} {member.tid!r}: the reference "
+                                f"{'holds' if held else 'lacks'} that tuple")
     if member.kind == "update":
         if member.attr not in attrs:
             raise MalformedSnapshot(f"update of {member.tid!r} names unknown attribute "
@@ -181,18 +180,11 @@ def _edited_rows(reference: GeneralizedRelation, member: Member) -> list[Row]:
     """The rows the member puts in place of the reference's row `member.tid`:
     the updated row, the inserted row, or none for a delete."""
     if member.kind == "update":
-        try:
-            row = reference._by_tid[member.tid]
-        except KeyError:
-            raise PacasError(f"update targets missing tuple {member.tid!r}") from None
+        row = reference._by_tid[member.tid]
         return [Row(row.tid, {**row.values, member.attr: member.value})]
     if member.kind == "insert":
-        if member.tid in reference._by_tid:
-            raise DuplicateTupleId(f"insert reuses tuple id {member.tid!r}")
-        return [Row(member.tid, dict(member.payload or ()))]
-    if member.kind == "delete":
-        return []
-    raise PacasError(f"unknown member kind {member.kind!r}")
+        return [Row(member.tid, dict(member.payload))]
+    return []
 
 
 def _apply_delta(reference: GeneralizedRelation, member: Member) -> GeneralizedRelation:

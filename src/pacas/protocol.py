@@ -2,7 +2,8 @@
 
 One JSON object per line, UTF-8, unknown fields ignored. A line longer
 than _MAX_LINE bytes, its newline included, is read through, dropped and
-answered with one bad_json reply. A `request`, `tuple` or `price` field of
+answered with one bad_json reply. The server closes a connection that sends
+nothing for _TIMEOUT_S seconds. A `request`, `tuple` or `price` field of
 another type than shown (a bool is not an int) gets invalid_request. Ops:
 
   -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{str:str}}
@@ -44,7 +45,7 @@ _ERROR_CODES = {
 
 _CODE_ERRORS = {code: exc for exc, code in _ERROR_CODES.items()}
 
-_TIMEOUT_S = 30.0  # seconds a connect or a reply may take
+_TIMEOUT_S = 30.0  # seconds a connect or a reply may take, and a connection may idle
 _MAX_LINE = 65_536  # bytes a request line may hold, its newline included
 
 
@@ -111,26 +112,31 @@ class ProviderServer(socketserver.ThreadingTCPServer):
 
 
 class _ProviderHandler(socketserver.StreamRequestHandler):
+    timeout = _TIMEOUT_S  # `setup` applies it to the connection's socket
+
     def handle(self):
         session = self.server.session_factory()
-        while raw := self.rfile.readline(_MAX_LINE + 1):
-            try:
-                if len(raw) > _MAX_LINE:
-                    while raw and not raw.endswith(b"\n"):  # drop the rest in bounded chunks
-                        raw = self.rfile.readline(_MAX_LINE)
-                    raise ValueError("request line over the cap")
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                message = json.loads(line)
-            except (ValueError, RecursionError):
-                # an overlong line, bad UTF-8 and bad JSON raise ValueError, deep
-                # nesting RecursionError
-                response = {"ok": False, "error": "bad_json"}
-            else:
-                response = handle_message(session, message)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+        try:
+            while raw := self.rfile.readline(_MAX_LINE + 1):
+                try:
+                    if len(raw) > _MAX_LINE:
+                        while raw and not raw.endswith(b"\n"):  # drop the rest in bounded chunks
+                            raw = self.rfile.readline(_MAX_LINE)
+                        raise ValueError("request line over the cap")
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    message = json.loads(line)
+                except (ValueError, RecursionError):
+                    # an overlong line, bad UTF-8 and bad JSON raise ValueError, deep
+                    # nesting RecursionError
+                    response = {"ok": False, "error": "bad_json"}
+                else:
+                    response = handle_message(session, message)
+                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                self.wfile.flush()
+        except TimeoutError:  # the client sent nothing, or read nothing, for `timeout` s
+            return
 
 
 def start_server(session_factory, host: str = "127.0.0.1", port: int = 0):

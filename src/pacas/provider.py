@@ -75,7 +75,9 @@ class ProviderSession:
     """Per-client pricing and answering state over one curated relation.
 
     `master` and `support.reference` hold the same rows in every caller; a
-    quote, and so a sale, reads only the support set's reference."""
+    quote, and so a sale, reads only the support set's reference. A session
+    is built only over a ground master whose schema holds every attribute of
+    the spec's X and Y and every provider-side attribute of the MDs."""
 
     master: GeneralizedRelation
     support: SupportSet
@@ -89,6 +91,9 @@ class ProviderSession:
     def __post_init__(self):
         if not self.master.is_ground():
             raise UnknownValue("the curated relation must be ground")
+        md_attrs = [a for md in self.mds for a in (md.target[1], *(p for _, p in md.match))]
+        for attr in (*self.spec.x, *self.spec.y, *md_attrs):
+            self.master.schema.require(attr)
 
     @property
     def total_weight(self) -> int:

@@ -23,6 +23,7 @@ from .errors import DuplicateTupleId, SchemaMismatch, StaleClass, UnknownAttribu
 @dataclass(frozen=True)
 class Schema:
     attributes: tuple[str, ...]
+    # read by nothing, DependencyConfig owns X and Y; kept for callers that set them
     qi: tuple[str, ...] = ()
     sensitive: tuple[str, ...] = ()
     key: str = "ID"
@@ -30,8 +31,6 @@ class Schema:
     def __post_init__(self):
         if len(set(self.attributes)) != len(self.attributes):
             raise UnknownAttribute("duplicate attribute names in schema")
-        if set(self.qi) & set(self.sensitive):
-            raise UnknownAttribute("qi and sensitive attribute sets overlap")
 
     def require(self, attribute: str) -> None:
         if attribute not in self.attributes:
@@ -113,12 +112,7 @@ class GeneralizedRelation:
         return out.getvalue()
 
 
-def load_relation(
-    source: str | Path,
-    hierarchies: hi.HierarchySet,
-    qi: Iterable[str] = (),
-    sensitive: Iterable[str] = (),
-) -> GeneralizedRelation:
+def load_relation(source: str | Path, hierarchies: hi.HierarchySet) -> GeneralizedRelation:
     """Load a CSV relation (header row, first column is the tuple id) and
     resolve every cell against the attribute hierarchies. Every record holds
     one cell per header column; blank lines are skipped."""
@@ -132,12 +126,7 @@ def load_relation(
     except StopIteration:
         raise UnknownAttribute("relation CSV has no header row") from None
     key, attributes = header[0], tuple(header[1:])
-    schema = Schema(
-        attributes=attributes,
-        qi=tuple(a for a in qi if a in attributes),
-        sensitive=tuple(a for a in sensitive if a in attributes),
-        key=key,
-    )
+    schema = Schema(attributes=attributes, key=key)
     rows: list[Row] = []
     seen: set[str] = set()
     for record in reader:
@@ -162,10 +151,17 @@ def load_relation(
 
 @dataclass
 class DependencyConfig:
+    """The QI set X, the sensitive set Y, the FDs and the MDs; X and Y are
+    disjoint."""
+
     qi: tuple[str, ...]
     sensitive: tuple[str, ...]
     fds: tuple[FD, ...]
     mds: tuple[MD, ...]
+
+    def __post_init__(self):
+        if set(self.qi) & set(self.sensitive):
+            raise UnknownAttribute("qi and sensitive attribute sets overlap")
 
     @classmethod
     def from_json(cls, source: str | Path | Mapping) -> "DependencyConfig":
@@ -173,6 +169,8 @@ class DependencyConfig:
             doc = source
         else:
             doc = json.loads(Path(source).read_text())
+        if unknown := sorted(set(doc) - {"qi", "sensitive", "fds", "mds"}):
+            raise ValueError(f"unknown config keys {unknown}")
         fds = tuple(FD(tuple(f["lhs"]), tuple(f["rhs"])) for f in doc.get("fds", ()))
         mds = tuple(
             MD(

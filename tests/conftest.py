@@ -25,27 +25,23 @@ def dep_config():
 
 
 @pytest.fixture(scope="session")
-def master(hierarchies, dep_config):
-    return load_relation(FIXTURES / "master.csv", hierarchies,
-                         qi=dep_config.qi, sensitive=dep_config.sensitive)
+def master(hierarchies):
+    return load_relation(FIXTURES / "master.csv", hierarchies)
 
 
 @pytest.fixture()
-def dirty(hierarchies, dep_config):
-    return load_relation(FIXTURES / "dirty.csv", hierarchies,
-                         qi=dep_config.qi, sensitive=dep_config.sensitive)
+def dirty(hierarchies):
+    return load_relation(FIXTURES / "dirty.csv", hierarchies)
 
 
 @pytest.fixture(scope="session")
-def truth(hierarchies, dep_config):
-    return load_relation(FIXTURES / "truth.csv", hierarchies,
-                         qi=dep_config.qi, sensitive=dep_config.sensitive)
+def truth(hierarchies):
+    return load_relation(FIXTURES / "truth.csv", hierarchies)
 
 
 @pytest.fixture(scope="session")
-def public(hierarchies, dep_config):
-    return load_relation(FIXTURES / "public.csv", hierarchies,
-                         qi=dep_config.qi, sensitive=dep_config.sensitive)
+def public(hierarchies):
+    return load_relation(FIXTURES / "public.csv", hierarchies)
 
 
 @pytest.fixture()

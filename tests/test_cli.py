@@ -282,6 +282,15 @@ class TestEval:
                    "--outdir", str(tmp_path / "results")])
         assert rc == 2
 
+    def test_unknown_config_key_exit_code(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"repetition": 1}))
+        rc = main(["eval", "--config", str(config), "--axes", "budget",
+                   "--outdir", str(tmp_path / "results")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (tmp_path / "results").exists()
+
 
 class TestServe:
     def test_serve_and_remote_clean(self, tmp_path):
@@ -352,22 +361,56 @@ class TestServe:
                        "--out", str(tmp_path / "r.csv")])
         assert rc == 3
 
-    def test_bad_snapshot_exits_before_ready_line(self, tmp_path):
+    @staticmethod
+    def serve_fails(tmp_path, bad) -> str:
+        """Run `serve` over the fixtures with one input broken as `bad` says;
+        assert it exits 2 before its ready line and return the error name."""
         doc = json.loads((FIXTURES / "golden_support.json").read_text())
-        doc["members"].append({"kind": "update", "tuple_id": "m1", "attr": "ZZZ",
-                               "value": "dolex"})
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        if "member" in bad:
+            doc["members"].append(bad["member"])
+        snapshot = tmp_path / "support.json"
+        snapshot.write_text(json.dumps(doc))
+        config = {**json.loads((FIXTURES / "config.json").read_text()), **bad.get("config", {})}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        support = [] if "master" in bad else ["--support", str(snapshot)]
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "pacas.cli", "serve",
-             "--master", str(FIXTURES / "master.csv"), *fixture_args(),
-             "--support", str(bad), "--port", "0"],
+             "--master", str(FIXTURES / bad.get("master", "master.csv")),
+             "--hierarchies", str(FIXTURES / "hierarchies.json"),
+             "--config", str(tmp_path / "config.json"), *support, "--port", "0"],
             capture_output=True, env=env, text=True, timeout=30,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert json.loads(proc.stderr)["error"] == "MalformedSnapshot"
+        return json.loads(proc.stderr)["error"]
+
+    def test_bad_snapshot_exits_before_ready_line(self, tmp_path):
+        bad = {"member": {"kind": "update", "tuple_id": "m1", "attr": "ZZZ", "value": "dolex"}}
+        assert self.serve_fails(tmp_path, bad) == "MalformedSnapshot"
+
+    # every input no session could answer over is refused before the ready
+    # line, not on each connection
+    @pytest.mark.parametrize("bad, error", [
+        ({"member": {"kind": "update", "tuple_id": "m99", "attr": "MED", "value": "dolex"}},
+         "MalformedSnapshot"),
+        ({"member": {"kind": "insert", "tuple_id": "m3", "values": {
+            "GEN": "male", "AGE": "51", "ZIP": "P0T2T0", "DIAG": "ulcer", "MED": "dolex"}}},
+         "MalformedSnapshot"),
+        ({"master": "public.csv"}, "UnknownValue"),
+        ({"config": {"qi": ["GEN", "AGE", "ZIP", "FOO"]}}, "UnknownAttribute"),
+        ({"config": {"sensitive": ["MED", "FOO"]}}, "UnknownAttribute"),
+        ({"config": {"mds": [{"match": [["GEN", "GEN"]], "target": ["MED", "MEDX"]}]}},
+         "UnknownAttribute"),
+        ({"config": {"mds": [{"match": [["GEN", "GENX"]], "target": ["MED", "MED"]}]}},
+         "UnknownAttribute"),
+        ({"config": {"sensitve": ["MED"]}}, "ValueError"),
+        ({"config": {"sensitive": ["MED", "ZIP"]}}, "UnknownAttribute"),
+    ], ids=["snapshot_missing_tuple", "snapshot_reused_id", "non_ground_master",
+            "qi_missing", "sensitive_missing", "md_target_missing", "md_match_missing",
+            "unknown_config_key", "qi_sensitive_overlap"])
+    def test_bad_input_exits_before_ready_line(self, tmp_path, bad, error):
+        assert self.serve_fails(tmp_path, bad) == error
 
     def test_signal_handlers_installed_before_ready_line(self, monkeypatch, capsys):
         # a client may send SIGTERM the moment it reads the ready line

@@ -250,3 +250,8 @@ class TestSweep:
         config = SweepConfig.from_json(path)
         assert config.budget_grid == (0.2, 0.6)
         assert config.repetitions == 2
+
+    def test_config_unknown_key_rejected(self):
+        # a misspelt key would otherwise run the default grid
+        with pytest.raises(ValueError, match="repetition"):
+            SweepConfig.from_json({"repetition": 1, "base_seed": 9})

@@ -7,10 +7,8 @@ import pytest
 
 from pacas.anonymity import AnonymitySpec, is_safe_query, xgroups
 from pacas.errors import (
-    DuplicateTupleId,
     EmptyRelation,
     MalformedSnapshot,
-    PacasError,
     StalePartition,
     UnknownAttribute,
 )
@@ -232,8 +230,9 @@ class TestGateUnion:
 
 
 class TestSnapshotChecks:
-    """A snapshot member the reference's schema or hierarchies cannot hold is
-    rejected when the snapshot is read, before any quote."""
+    """A snapshot member the reference cannot hold is rejected when the
+    snapshot is read, before any quote: its schema, its hierarchies and its
+    tuple ids."""
 
     GROUND = {"GEN": "male", "AGE": "51", "ZIP": "P0T2T0", "DIAG": "ulcer",
               "MED": "dolex"}
@@ -257,12 +256,16 @@ class TestSnapshotChecks:
         {"kind": "delete", "tuple_id": "m1", "weight": 1.5},
         {"kind": "delete", "tuple_id": "m1", "weight": True},
         {"kind": "move", "tuple_id": "m1"},
+        {"kind": "update", "tuple_id": "m99", "attr": "MED", "value": "dolex"},
+        {"kind": "insert", "tuple_id": "m3", "values": GROUND},
+        {"kind": "delete", "tuple_id": "m99"},
     ], ids=["update_lacks_value", "update_lacks_tuple_id", "lacks_kind",
             "insert_lacks_values", "update_unknown_attr", "insert_extra_attr",
             "insert_missing_attr", "update_generalized_value", "update_unknown_value",
             "update_non_string_value", "insert_generalized_value", "weight_zero",
             "weight_negative", "weight_string", "weight_float", "weight_bool",
-            "unknown_kind"])
+            "unknown_kind", "update_missing_tuple", "insert_reused_id",
+            "delete_missing_tuple"])
     def test_rejected_at_load(self, master, bad):
         doc = json.loads((FIXTURES / "golden_support.json").read_text())
         doc["members"].insert(3, bad)
@@ -283,35 +286,6 @@ class TestSnapshotChecks:
         ]}
         support = SupportSet.from_json(doc, master)
         assert [m.weight for m in support.members] == [1, 3, 2]
-
-
-class TestBadSnapshot:
-    """A member that cannot be applied to the reference fails every quote with
-    the error the full-copy rule raised: PacasError itself for an update of a
-    missing tuple, DuplicateTupleId for an insert that reuses a tuple id."""
-
-    QUERIES = [
-        GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,)),
-        GeneralizedQuery(("MED",), (("GEN", "female"),), (1,)),
-        GeneralizedQuery(("DIAG",), (("ZIP", "nowhere"),), (0,)),
-        GeneralizedQuery(tuple(SPEC.x), (), (0, 0, 0)),
-    ]
-
-    @pytest.mark.parametrize("bad, error", [
-        ({"kind": "update", "tuple_id": "m99", "attr": "MED", "value": "dolex"}, PacasError),
-        ({"kind": "insert", "tuple_id": "m3", "values": {"GEN": "male", "AGE": "51",
-          "ZIP": "P0T2T0", "DIAG": "ulcer", "MED": "dolex"}}, DuplicateTupleId),
-    ], ids=["update_missing_tuple", "insert_reused_id"])
-    def test_every_quote_fails(self, master, bad, error):
-        doc = json.loads((FIXTURES / "golden_support.json").read_text())
-        doc["members"].insert(3, bad)
-        support = SupportSet.from_json(doc, master.copy())
-        for q in self.QUERIES:
-            for quote in (lambda: safe_price(q, support, SPEC),
-                          lambda: baseline_price(q, master, support)):
-                with pytest.raises(PacasError) as excinfo:
-                    quote()
-                assert type(excinfo.value) is error
 
 
 class TestCommitSale:

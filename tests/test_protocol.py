@@ -4,9 +4,12 @@ import json
 import socket
 import socketserver
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pacas.anonymity import AnonymitySpec
 from pacas.pricing import SupportSet, build_support_set
@@ -14,6 +17,7 @@ from pacas.protocol import (
     _MAX_LINE,
     EmbeddedProvider,
     RemoteProvider,
+    _ProviderHandler,
     handle_message,
     start_server,
 )
@@ -377,6 +381,104 @@ class TestSocketTransport:
                 assert (first["ok"], first["error"]) == (False, "invalid_request")
                 assert second == {"ok": True, "total_weight": 12}
             assert [s.ledger for s in sessions] == [[]]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+class TestIdleTimeout:
+    def test_idle_connection_closed_busy_one_served(self, master, dep_config, monkeypatch):
+        """A connection that sends nothing for `timeout` seconds is closed
+        quietly; one that keeps asking is served throughout, and the server
+        takes new connections afterwards."""
+        monkeypatch.setattr(_ProviderHandler, "timeout", 0.2)
+        server, port = start_server(make_factory(
+            master, dep_config, support_path=FIXTURES / "golden_support.json"))
+        errors = []
+        server.handle_error = lambda request, address: errors.append(address)
+        info, ok = b'{"op":"info"}\n', {"ok": True, "total_weight": 12}
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=2) as idle, \
+                    socket.create_connection(("127.0.0.1", port), timeout=2) as busy:
+                f = busy.makefile("rwb")
+                for _ in range(6):  # 0.6 s, three idle timeouts' worth
+                    f.write(info)
+                    f.flush()
+                    assert json.loads(f.readline()) == ok
+                    time.sleep(0.1)
+                assert idle.recv(1) == b""  # closed by the server, not timed out here
+            with socket.create_connection(("127.0.0.1", port), timeout=2) as fresh:
+                fresh.sendall(info)
+                assert json.loads(fresh.makefile("rb").readline()) == ok
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert errors == []
+
+
+# any JSON value, and request-shaped objects whose fields are now well and now
+# ill typed
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+REQUEST_SHAPED = st.fixed_dictionaries({
+    "op": st.sampled_from(["ask_price", "pay", "info"]) | JSON,
+    "request": st.fixed_dictionaries({
+        "tuple_id": st.sampled_from(["t2", "c1"]) | JSON,
+        "attr": st.sampled_from(["MED", "DIAG"]) | JSON,
+        "level": st.integers(-1, 4) | JSON,
+    }) | JSON,
+    "tuple": st.dictionaries(st.sampled_from(["GEN", "AGE", "ZIP", "MED"]),
+                             st.sampled_from(["male", "female", "79", "51"]) | JSON,
+                             max_size=4) | JSON,
+    "price": st.integers(-1, 13) | st.just("infinite") | JSON,
+})
+MESSAGES = JSON | REQUEST_SHAPED
+
+
+def _is_blank(line: bytes) -> bool:
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+# a request line as a client might send it, newline excluded: any message
+# encoded, or raw bytes; a blank line is skipped without a reply
+LINES = (MESSAGES.map(lambda m: json.dumps(m).encode())
+         | st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))).filter(
+    lambda line: not _is_blank(line))
+
+
+class TestWireProperties:
+    @settings(max_examples=75, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(message=MESSAGES)
+    def test_handle_message_always_replies(self, master, dep_config, message):
+        factory = make_factory(master, dep_config, support_path=FIXTURES / "golden_support.json")
+        reply = handle_message(factory(), message)
+        assert isinstance(reply, dict) and "ok" in reply
+        json.dumps(reply, allow_nan=False)
+
+    def test_every_line_gets_one_reply(self, master, dep_config):
+        server, port = start_server(make_factory(
+            master, dep_config, support_path=FIXTURES / "golden_support.json"))
+
+        @settings(max_examples=30, deadline=None)
+        @given(lines=st.lists(LINES, max_size=8))
+        def check(lines):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(b"".join(line + b"\n" for line in lines))
+                sock.shutdown(socket.SHUT_WR)
+                replies = sock.makefile("rb").read().splitlines()
+            assert len(replies) == len(lines)
+            assert all("ok" in json.loads(reply) for reply in replies)
+
+        try:
+            check()
         finally:
             server.shutdown()
             server.server_close()

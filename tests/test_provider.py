@@ -4,7 +4,14 @@ import pytest
 
 from pacas import pricing, provider
 from pacas.anonymity import AnonymitySpec, is_safe_query
-from pacas.errors import NoApplicableMD, NoMatch, QuoteMismatch, UnknownValue, UnsafeRequest
+from pacas.errors import (
+    NoApplicableMD,
+    NoMatch,
+    QuoteMismatch,
+    UnknownAttribute,
+    UnknownValue,
+    UnsafeRequest,
+)
 from pacas.gquery import GeneralizedQuery, eval_ground
 from pacas.harness import generate_master
 from pacas.hierarchy import generalize_to
@@ -36,6 +43,27 @@ class TestCuratedRelationMustBeGround:
         unknown.rows[0].values["MED"] = "ibuprofenn"
         with pytest.raises(UnknownValue):
             make_session(unknown, golden_support)
+
+
+class TestSessionAttributes:
+    """Every attribute of the spec's X and Y and every provider-side MD
+    attribute is checked against the master once, when the session is built."""
+
+    @pytest.mark.parametrize("x, y, md", [
+        (("GEN", "AGE", "FOO"), ("MED",), None),
+        (("GEN", "AGE", "ZIP"), ("FOO",), None),
+        (("GEN", "AGE", "ZIP"), ("MED",), MD(match=(("GEN", "GEN"),), target=("MED", "FOO"))),
+        (("GEN", "AGE", "ZIP"), ("MED",), MD(match=(("GEN", "FOO"),), target=("MED", "MED"))),
+    ], ids=["x", "y", "md_target", "md_match"])
+    def test_attribute_outside_schema_rejected(self, master, golden_support, x, y, md):
+        spec = AnonymitySpec(x=x, y=y, levels=(0,), k=1)
+        mds = (MD(match=(("GEN", "GEN"),), target=("MED", "MED")),) + ((md,) if md else ())
+        with pytest.raises(UnknownAttribute, match="FOO"):
+            ProviderSession(master=master, support=golden_support, spec=spec, mds=mds)
+
+    def test_client_side_md_attributes_unchecked(self, master, golden_support):
+        md = MD(match=(("CLIENT_GEN", "GEN"),), target=("CLIENT_MED", "MED"))
+        make_session(master, golden_support, mds=(md,))
 
 
 class TestTranslateRequest:
@@ -140,8 +168,7 @@ class TestPay:
             "m2,male,51,P2Y9L8,ulcer,tylenol\n"
             "m3,male,51,P8R2S8,tendinitis,tylenol\n"
         )
-        master = load_relation(csv_text, hierarchies,
-                               qi=("GEN", "AGE", "ZIP"), sensitive=("MED",))
+        master = load_relation(csv_text, hierarchies)
         support = build_support_set(master, 4, seed=2)
         session = make_session(master, support)
         request = ValueRequest("c1", "MED", 0)
@@ -157,8 +184,7 @@ class TestPay:
             "m1,male,51,P0T2T0,migraine,dolex\n"
             "m2,male,51,P2Y9L8,ulcer,addaprin\n"
         )
-        master = load_relation(csv_text, hierarchies,
-                               qi=("GEN", "AGE", "ZIP"), sensitive=("MED",))
+        master = load_relation(csv_text, hierarchies)
         support = build_support_set(master, 4, seed=2)
         session = make_session(master, support)
         request = ValueRequest("c1", "MED", 0)

@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacas.cleaner import start_session
-from pacas.errors import DuplicateTupleId, SchemaMismatch, StaleClass, UnknownValue
+from pacas.errors import (
+    DuplicateTupleId,
+    SchemaMismatch,
+    StaleClass,
+    UnknownAttribute,
+    UnknownValue,
+)
 from pacas.hierarchy import HierarchySet, ancestors, generalizes, load_hierarchy
 from pacas.relation import (
     FD,
+    DependencyConfig,
     EquivalenceClass,
     GeneralizedRelation,
     Row,
@@ -72,6 +79,26 @@ class TestLoading:
     def test_blank_lines_skipped(self, hierarchies):
         csv_text = "ID,GEN,AGE,DIAG,MED\n\nt1,male,79,osteoarthritis,ibuprofen\n\n"
         assert [row.tid for row in load_relation(csv_text, hierarchies).rows] == ["t1"]
+
+
+class TestDependencyConfig:
+    DOC = {"qi": ["GEN", "AGE"], "sensitive": ["MED"],
+           "fds": [{"lhs": ["GEN", "DIAG"], "rhs": ["MED"]}],
+           "mds": [{"match": [["GEN", "GEN"]], "target": ["MED", "MED"]}]}
+
+    def test_loads(self):
+        config = DependencyConfig.from_json(self.DOC)
+        assert (config.qi, config.sensitive) == (("GEN", "AGE"), ("MED",))
+
+    def test_unknown_key_rejected(self):
+        # a misspelt "sensitive" would otherwise load with no sensitive attribute
+        doc = {k: v for k, v in self.DOC.items() if k != "sensitive"}
+        with pytest.raises(ValueError, match="sensitve"):
+            DependencyConfig.from_json({**doc, "sensitve": ["MED"]})
+
+    def test_overlapping_qi_and_sensitive_rejected(self):
+        with pytest.raises(UnknownAttribute, match="overlap"):
+            DependencyConfig.from_json({**self.DOC, "sensitive": ["MED", "AGE"]})
 
 
 class TestConsistency:
