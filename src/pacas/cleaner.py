@@ -10,7 +10,7 @@ of the class. Purchased general values are kept as-is; nothing is grounded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -53,7 +53,6 @@ class RepairSession:
     eqs: list[EquivalenceClass]
     index: FDIndex
     eqs_of: dict[str, list[EquivalenceClass]]
-    purchases: list[dict] = field(default_factory=list)
 
 
 def start_session(
@@ -254,7 +253,6 @@ def safe_clean(
             session.eqs = [e for e in session.eqs if e.eq_id != eq.eq_id]
         else:
             session.budget_remaining -= purchase["price"]
-            session.purchases.append(purchase)
             old_values = sorted(
                 {session.relation.row(t).values[a] for t, a in eq.cells}
             )
@@ -274,18 +272,18 @@ def safe_clean(
     if truth is not None:
         ctx = metric_ctx or metrics.MetricContext(truth)
         report.repair_error = metrics.relation_distance(ctx, truth, session.relation)
-        report.buckets = repair_buckets(session, truth, ctx)
+        report.buckets = repair_buckets(iterations, truth, ctx)
     report.wall_time_s = time.perf_counter() - started
     return session.relation, report
 
 
 def repair_buckets(
-    session: RepairSession, truth: GeneralizedRelation, ctx: metrics.MetricContext
+    iterations: list[dict], truth: GeneralizedRelation, ctx: metrics.MetricContext
 ) -> dict[str, float]:
-    """Histogram of normalized true-vs-repaired distances over repaired cells."""
+    """Histogram of normalized true-vs-repaired distances over purchased cells."""
     counts = {b: 0 for b in metrics.BUCKETS}
     total = 0
-    for purchase in session.purchases:
+    for purchase in (it["purchase"] for it in iterations if "purchase" in it):
         value = purchase["value"]
         for tid, attr in purchase["cells"]:
             counts[ctx.tables[attr].bucket(truth.row(tid).values[attr], value)] += 1

@@ -8,14 +8,16 @@ Before quoting a finite price, the gate checks that every tuple's X-group
 keeps at least k ground Y-candidates across the agreeing members, so a paid
 answer never narrows a sensitive linkage below k.
 
-A quote reads only the support set and evaluates rows, not instances: one
-selection test and one lift give the truth, the lifted values of the
-reference rows the query selects with their counts, and each member's
-answer, those rows less the tuple it edits plus its edited rows the query
-selects. The gate groups the survivors' instances in one pass over their
-union. Each survivor's instance is the reference without the tuple it edits
-plus its edited rows, so the union is the reference minus that tuple if
-every survivor edits the same one, plus every survivor's edited rows.
+A support set derives each member's edited rows once, when it is built:
+members are frozen and no product path changes the reference. A quote
+evaluates rows, not instances: one selection test and one lift give the
+truth, the lifted values of the reference rows the query selects with their
+counts, and each member's answer, those rows less the tuple it edits plus
+its edited rows the query selects. The gate groups the survivors' instances
+in one pass over their union: the reference, less a tuple every survivor
+edits, plus every survivor's edited rows. A partition keeps the member list
+it split; a sale replaces that list, so a partition is current exactly while
+its list is the set's.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ INFINITE = Infinite()
 
 def is_infinite(amount) -> bool:
     return isinstance(amount, Infinite)
+
+
+def encode_price(amount) -> object:
+    return "infinite" if is_infinite(amount) else amount
+
+
+def decode_price(value) -> object:
+    return INFINITE if value == "infinite" else value
 
 
 @dataclass(frozen=True)
@@ -103,14 +113,16 @@ class Partition:
 
     survivors: tuple[Member, ...]
     conflicts: tuple[Member, ...]
-    snapshot: tuple[Member, ...]
+    members: list[Member] = field(compare=False, repr=False)  # the list split, not a copy
 
 
 class SupportSet:
     def __init__(self, reference: GeneralizedRelation, members: Iterable[Member], seed: int = 0):
         self.reference = reference
+        # a fresh list, replaced by each sale and never changed in place
         self.members: list[Member] = list(members)
         self.seed = seed
+        self.edits = {m: _edited_rows(reference, m) for m in self.members}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -121,7 +133,9 @@ class SupportSet:
 
     def materialize(self, member: Member) -> GeneralizedRelation:
         """The member's full instance; an oracle, never on the pricing path."""
-        return _apply_delta(self.reference, member)
+        ref = self.reference
+        rows = [r for r in ref.rows if r.tid != member.tid] + self.edits[member]
+        return GeneralizedRelation(ref.schema, rows, ref.hierarchies)
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "members": [m.to_json() for m in self.members]}
@@ -132,7 +146,7 @@ class SupportSet:
     @classmethod
     def from_json(cls, doc: dict, reference: GeneralizedRelation) -> "SupportSet":
         """Parse a snapshot, rejecting every member the reference cannot
-        hold, so every quote can apply every member."""
+        hold before the set derives the members' edited rows."""
         try:
             members = [Member.from_json(m) for m in doc["members"]]
             seed = int(doc.get("seed", 0))
@@ -185,12 +199,6 @@ def _edited_rows(reference: GeneralizedRelation, member: Member) -> list[Row]:
     if member.kind == "insert":
         return [Row(member.tid, dict(member.payload))]
     return []
-
-
-def _apply_delta(reference: GeneralizedRelation, member: Member) -> GeneralizedRelation:
-    rows = [r for r in reference.rows if r.tid != member.tid] + _edited_rows(reference, member)
-    return GeneralizedRelation(schema=reference.schema, rows=rows,
-                               hierarchies=reference.hierarchies)
 
 
 # probability of a single-cell update, a tuple insert and a tuple delete
@@ -278,7 +286,7 @@ def safe_price(
 
     selected = [(r.tid, lift(r)) for r in ref.rows if selects(r)]
     answer = Counter(value for _, value in selected)
-    edits = {member: _edited_rows(ref, member) for member in support.members}
+    edits = support.edits
     survivors: list[Member] = []
     conflicts: list[Member] = []
     for member in support.members:
@@ -286,7 +294,7 @@ def safe_price(
         values = {value for tid, value in selected if tid != member.tid}
         values.update(lift(r) for r in edits[member] if selects(r))
         (survivors if values == answer.keys() else conflicts).append(member)
-    partition = Partition(tuple(survivors), tuple(conflicts), tuple(support.members))
+    partition = Partition(tuple(survivors), tuple(conflicts), support.members)
     fingerprint = q.fingerprint()
     price = sum(m.weight for m in conflicts)
     # a reference tuple is missing from the union only if every survivor edits it
@@ -302,7 +310,7 @@ def safe_price(
 
 def commit_sale(support: SupportSet, partition: Partition) -> SupportSet:
     """Remove the conflict members after a paid query; survivors remain."""
-    if partition.snapshot != tuple(support.members):
+    if partition.members is not support.members:
         raise StalePartition("support set changed since this quote was issued")
     support.members = list(partition.survivors)
     return support

@@ -1,10 +1,11 @@
 """Newline-delimited JSON transport for the provider endpoints.
 
-One JSON object per line, UTF-8, unknown fields ignored. A line longer
-than _MAX_LINE bytes, its newline included, is read through, dropped and
-answered with one bad_json reply. The server closes a connection that sends
-nothing for _TIMEOUT_S seconds. A `request`, `tuple` or `price` field of
-another type than shown (a bool is not an int) gets invalid_request. Ops:
+One JSON object per line, UTF-8, unknown fields ignored. Every line gets one
+reply: a line blank after `strip()`, or longer than _MAX_LINE bytes with its
+newline (read through and dropped), gets bad_json. The server closes a
+connection that sends nothing for _TIMEOUT_S seconds. A `request`, `tuple`
+or `price` field of another type than shown (a bool is not an int) gets
+invalid_request. Ops:
 
   -> {"op":"ask_price","request":{"tuple_id":str,"attr":str,"level":int},"tuple":{str:str}}
   <- {"ok":true,"price":int|"infinite"}
@@ -33,7 +34,7 @@ from .errors import (
     QuoteMismatch,
     UnsafeRequest,
 )
-from .pricing import INFINITE, is_infinite
+from .pricing import decode_price, encode_price
 from .provider import ProviderSession, ValueRequest
 
 _ERROR_CODES = {
@@ -47,14 +48,6 @@ _CODE_ERRORS = {code: exc for exc, code in _ERROR_CODES.items()}
 
 _TIMEOUT_S = 30.0  # seconds a connect or a reply may take, and a connection may idle
 _MAX_LINE = 65_536  # bytes a request line may hold, its newline included
-
-
-def encode_price(amount) -> object:
-    return "infinite" if is_infinite(amount) else amount
-
-
-def decode_price(value) -> object:
-    return INFINITE if value == "infinite" else value
 
 
 def _is_int(value) -> bool:
@@ -123,13 +116,10 @@ class _ProviderHandler(socketserver.StreamRequestHandler):
                         while raw and not raw.endswith(b"\n"):  # drop the rest in bounded chunks
                             raw = self.rfile.readline(_MAX_LINE)
                         raise ValueError("request line over the cap")
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    message = json.loads(line)
+                    message = json.loads(raw.decode("utf-8").strip())
                 except (ValueError, RecursionError):
-                    # an overlong line, bad UTF-8 and bad JSON raise ValueError, deep
-                    # nesting RecursionError
+                    # an overlong line, bad UTF-8 and bad JSON, a blank line included,
+                    # raise ValueError, deep nesting RecursionError
                     response = {"ok": False, "error": "bad_json"}
                 else:
                     response = handle_message(session, message)

@@ -7,9 +7,10 @@ and returns a single value at the requested level.
 
 A session keeps each quote it makes, with its partition of the support set,
 until its next sale, at most `_QUOTE_MEMO_CAP` of them; `pay` sells at the
-kept quote instead of pricing the query again. A kept quote is used only
-while the support set it was made on is unchanged. A sale answers from its
-quote's answer: the lifted value most curated rows hold.
+kept quote instead of pricing the query again. A kept quote is used while
+the member list its partition split is still the support set's, one identity
+test. A sale answers from its quote's answer: the lifted value most curated
+rows hold.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 from .anonymity import AnonymitySpec
 from .errors import NoApplicableMD, NoMatch, QuoteMismatch, UnsafeRequest, UnknownValue
 from .gquery import GeneralizedQuery
-from .pricing import SupportSet, commit_sale, is_infinite, safe_price
+from .pricing import SupportSet, commit_sale, encode_price, is_infinite, safe_price
 from .relation import MD, GeneralizedRelation
 
 # quotes a session keeps between sales, and ledger entries it keeps; a buyer
@@ -85,7 +86,7 @@ class ProviderSession:
     mds: tuple[MD, ...]
     # the latest `_LEDGER_CAP` quotes and sales, oldest first
     ledger: list[dict] = field(default_factory=list)
-    # query -> (support set, quote, partition), emptied by every sale
+    # query -> safe_price's (quote, partition), emptied by every sale
     _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,24 +102,22 @@ class ProviderSession:
 
     def quote(self, request: ValueRequest, client_tuple: Mapping[str, str]):
         """(query, (quote, partition)) for a request. A quote kept since the
-        last sale is reused while its support set is unchanged."""
+        last sale is reused while its partition split the current members."""
         q = translate_request(request, client_tuple, self.mds)
         height = self.master.hierarchies.for_attribute(q.projection[0]).height
         if not 0 <= request.level <= height:
             raise UnknownValue(
                 f"level {request.level} outside [0, {height}] for {q.projection[0]!r}"
             )
-        support = self.support
         kept = self._quotes.get(q)
-        if (kept is not None and kept[0] is support
-                and kept[2].snapshot == tuple(support.members)):
-            return q, kept[1:]
-        quote, partition = safe_price(q, support, self.spec)
+        if kept is not None and kept[1].members is self.support.members:
+            return q, kept
+        kept = safe_price(q, self.support, self.spec)
         self._quotes.pop(q, None)
         if len(self._quotes) >= _QUOTE_MEMO_CAP:
             del self._quotes[next(iter(self._quotes))]
-        self._quotes[q] = (support, quote, partition)
-        return q, (quote, partition)
+        self._quotes[q] = kept
+        return q, kept
 
     def ask_price(self, request: ValueRequest, client_tuple: Mapping[str, str]):
         """Quote a request; records the quote, never mutates the support set."""
@@ -128,7 +127,7 @@ class ProviderSession:
                 "op": "quote",
                 "request": request.to_json(),
                 "fingerprint": quote.query_fingerprint,
-                "price": "infinite" if quote.infinite else quote.amount,
+                "price": encode_price(quote.amount),
             }
         )
         return quote.amount

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pacas import pricing
 from pacas.anonymity import AnonymitySpec, is_safe_query, xgroups
 from pacas.errors import (
     EmptyRelation,
@@ -23,7 +24,8 @@ from pacas.pricing import (
     is_infinite,
     safe_price,
 )
-from pacas.relation import GeneralizedRelation, Row, Schema
+from pacas.provider import ProviderSession, ValueRequest
+from pacas.relation import MD, GeneralizedRelation, Row, Schema
 
 from conftest import FIXTURES
 from test_anonymity import fanout2_hierarchies
@@ -326,6 +328,34 @@ class TestCommitSale:
         with pytest.raises(StalePartition):
             commit_sale(golden_support, p2)
 
+    def test_kept_partition_stale_after_a_sale_outside_the_session(self, master,
+                                                                    golden_support):
+        """A session's kept partition is refused by its own set once a sale
+        made outside the session has replaced the members, and the session
+        then prices afresh."""
+        md = MD(match=(("GEN", "GEN"), ("AGE", "AGE")), target=("MED", "MED"))
+        session = ProviderSession(master=master, support=golden_support, spec=SPEC,
+                                  mds=(md,))
+        request, client = ValueRequest("t2", "MED", 0), {"GEN": "male", "AGE": "79"}
+        _, (_, kept) = session.quote(request, client)
+        q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
+        commit_sale(golden_support, safe_price(q, golden_support, SPEC)[1])
+        with pytest.raises(StalePartition):
+            commit_sale(golden_support, kept)
+        price = session.ask_price(request, client)
+        assert session.pay(price, request, client)[1] == 0
+
+    def test_partition_of_a_twin_set_rejected(self, master, golden_support):
+        """A partition belongs to the set whose member list it split, even
+        where another set holds equal members."""
+        twin = SupportSet(golden_support.reference, golden_support.members)
+        q = GeneralizedQuery(("MED",), (("GEN", "male"), ("AGE", "51")), (0,))
+        _, partition = safe_price(q, golden_support, SPEC)
+        assert twin.members == golden_support.members
+        with pytest.raises(StalePartition):
+            commit_sale(twin, partition)
+        assert len(twin) == len(golden_support)
+
     def test_prices_non_increasing_across_commits(self, master):
         support = build_support_set(master, 14, seed=31)
         probe = GeneralizedQuery(("MED",), (("GEN", "male"),), (0,))
@@ -344,6 +374,32 @@ class TestCommitSale:
             last = now
             sizes.append(len(support))
         assert sizes == sorted(sizes, reverse=True)
+
+
+def test_member_edits_derived_once(master, monkeypatch):
+    """A support set derives each member's edited rows when it is built;
+    quotes, the sale and the instance oracle only read them."""
+    calls = []
+    edited_rows = pricing._edited_rows
+
+    def counting(reference, member):
+        calls.append(member)
+        return edited_rows(reference, member)
+
+    monkeypatch.setattr(pricing, "_edited_rows", counting)
+    support = build_support_set(master, 8, seed=5)
+    members = list(support.members)
+    queries = [GeneralizedQuery(("MED",), (("GEN", gen),), (level,))
+               for gen in ("male", "female") for level in (0, 1)]
+    for q in queries:
+        safe_price(q, support, SPEC)
+    quote, partition = safe_price(queries[0], support, SPEC)
+    assert not quote.infinite
+    commit_sale(support, partition)
+    for q in queries:
+        safe_price(q, support, SPEC)
+    baseline_price(queries[0], master, support)
+    assert len(calls) == 8 and set(calls) == set(members)
 
 
 def test_infinite_is_a_value_not_an_error():

@@ -439,18 +439,14 @@ REQUEST_SHAPED = st.fixed_dictionaries({
 MESSAGES = JSON | REQUEST_SHAPED
 
 
-def _is_blank(line: bytes) -> bool:
-    try:
-        return not line.decode("utf-8").strip()
-    except UnicodeDecodeError:
-        return False
-
+# lines that are blank after `str.strip()`, newline excluded
+BLANK_LINES = (b"", b" ", b"\r", b"\t \x0b", "\u3000".encode())
 
 # a request line as a client might send it, newline excluded: any message
-# encoded, or raw bytes; a blank line is skipped without a reply
+# encoded, raw bytes or a blank line
 LINES = (MESSAGES.map(lambda m: json.dumps(m).encode())
-         | st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))).filter(
-    lambda line: not _is_blank(line))
+         | st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))
+         | st.sampled_from(BLANK_LINES))
 
 
 class TestWireProperties:
@@ -479,6 +475,23 @@ class TestWireProperties:
 
         try:
             check()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("blank", BLANK_LINES)
+    def test_blank_line_answered_bad_json(self, master, dep_config, blank):
+        """A blank line gets one bad_json reply, and the connection still
+        serves the next line."""
+        server, port = start_server(make_factory(
+            master, dep_config, support_path=FIXTURES / "golden_support.json"))
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(blank + b"\n" + b'{"op":"info"}\n')
+                sock.shutdown(socket.SHUT_WR)
+                replies = [json.loads(r) for r in sock.makefile("rb").read().splitlines()]
+            assert replies == [{"ok": False, "error": "bad_json"},
+                               {"ok": True, "total_weight": 12}]
         finally:
             server.shutdown()
             server.server_close()

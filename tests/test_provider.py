@@ -235,6 +235,17 @@ class TestQuoteMemo:
         session.pay(2, ValueRequest("t2", "MED", 0), T2)
         assert len(calls) == 1
 
+    def test_quote_after_support_swapped_for_a_twin_prices_afresh(self, master,
+                                                                  golden_support, calls):
+        """A kept quote serves only the member list it split, so a twin set
+        holding equal members is priced again."""
+        session = make_session(master, golden_support)
+        request = ValueRequest("t2", "MED", 0)
+        session.ask_price(request, T2)
+        session.support = SupportSet(golden_support.reference, golden_support.members)
+        assert session.ask_price(request, T2) == 2
+        assert len(calls) == 2
+
 
 class TestSaleFromQuote:
     """A quote evaluates rows, and a sale answers from its quote's answer:
