@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,8 +65,14 @@ class SyntheticBundle:
     truth: GeneralizedRelation
     hierarchies: HierarchySet
     config: DependencyConfig
-    spec_x: tuple[str, ...] = ("GEN", "AGE")
-    spec_y: tuple[str, ...] = ("MED",)
+
+    @property
+    def spec_x(self) -> tuple[str, ...]:
+        return self.config.qi
+
+    @property
+    def spec_y(self) -> tuple[str, ...]:
+        return self.config.sensitive
 
 
 def generate_master(seed: int = 0) -> SyntheticBundle:
@@ -257,13 +262,12 @@ def run_point(
     plan = InjectionPlan(rate=error_rate, mix=error_mix, seed=seed)
     dirty, _ = inject_errors(bundle.truth, plan, bundle.config.fds)
     support = build_support_set(bundle.master, support_size, seed)
-    spec = AnonymitySpec(x=bundle.spec_x, y=bundle.spec_y, levels=(0,), k=k)
+    spec = AnonymitySpec(x=bundle.config.qi, y=bundle.config.sensitive, levels=(0,), k=k)
     session = ProviderSession(
         master=bundle.master, support=support, spec=spec, mds=bundle.config.mds
     )
     budget = Fraction(str(budget_frac)) * support.total_weight
-    started = time.perf_counter()
-    repaired, report = safe_clean(
+    _, report = safe_clean(
         dirty,
         EmbeddedProvider(session),
         bundle.config.fds,
@@ -272,7 +276,6 @@ def run_point(
         truth=bundle.truth,
         metric_ctx=metrics.MetricContext(bundle.master),
     )
-    wall = time.perf_counter() - started
     return {
         "repair_error": report.repair_error,
         "violations_before": report.violations_before,
@@ -280,7 +283,7 @@ def run_point(
         "repairs": len(report.iterations),
         "purchases": sum(1 for it in report.iterations if it.get("outcome") == "repaired"),
         "buckets": report.buckets,
-        "wall_time_s": wall,
+        "wall_time_s": report.wall_time_s,
     }
 
 

@@ -5,6 +5,10 @@ the ground domain, the single root sits at the top level, and every edge
 connects a node to a parent exactly one level up. Values are opaque
 case-sensitive strings; interval labels for numeric attributes are just node
 names like any other.
+
+The loader derives each value's ancestor chain once. Lifting a value to a
+level, testing whether one value generalizes another, the lowest common
+ancestor and the ground bases are all read from that one table.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ class Hierarchy:
     level: Mapping[str, int]
     root: str
     height: int
+    # each value's ancestors from itself up to the root: entry i sits at level(value) + i
+    _chain: Mapping[str, tuple[str, ...]] = field(repr=False)
     _base: Mapping[str, frozenset[str]] = field(repr=False)
 
     def __contains__(self, value: str) -> bool:
@@ -44,33 +50,46 @@ class Hierarchy:
         return self._base[self.root]
 
 
+def _integer(raw: object, what: str) -> int:
+    if type(raw) is not int:  # a JSON true or false decodes to a bool, an int subclass
+        raise MalformedHierarchy(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def load_hierarchy(document: Mapping) -> Hierarchy:
     """Validate a hierarchy document and build the tree.
 
     Expected shape: {"attribute": str, "levels": int,
     "nodes": [{"value": str, "level": int, "parent": str|null}, ...]}.
-    The root has parent null and level == levels - 1. Rejects forests,
-    duplicate values, non-adjacent parent levels and leaves above level 0.
+    The root has parent null and level == levels - 1. Rejects any other
+    shape (a bool or float is not an int), forests, duplicate values,
+    non-adjacent parent levels and nodes with no ground value below them.
     """
     try:
         attribute = document["attribute"]
-        declared_levels = int(document["levels"])
+        declared_levels = _integer(document["levels"], "levels")
         nodes = document["nodes"]
     except (KeyError, TypeError) as exc:
         raise MalformedHierarchy(f"missing field: {exc}") from exc
-    if declared_levels < 1 or not nodes:
-        raise MalformedHierarchy("hierarchy needs at least one level and one node")
+    if declared_levels < 1 or not isinstance(nodes, list) or not nodes:
+        raise MalformedHierarchy("hierarchy needs at least one level and an array of nodes")
 
     parent: dict[str, str | None] = {}
     level: dict[str, int] = {}
     for node in nodes:
-        value = node["value"]
+        if not isinstance(node, dict):
+            raise MalformedHierarchy(f"node {node!r} is not an object")
+        value, p = node.get("value"), node.get("parent")
+        if not isinstance(value, str):
+            raise MalformedHierarchy(f"node {node!r} needs a string value")
+        if p is not None and not isinstance(p, str):
+            raise MalformedHierarchy(f"{value!r} has parent {p!r}, neither a string nor null")
         if value in level:
             raise MalformedHierarchy(f"duplicate value {value!r}")
-        lvl = int(node["level"])
+        lvl = _integer(node.get("level"), f"level of {value!r}")
         if not 0 <= lvl < declared_levels:
             raise MalformedHierarchy(f"{value!r} at level {lvl} outside [0, {declared_levels - 1}]")
-        parent[value] = node.get("parent")
+        parent[value] = p
         level[value] = lvl
 
     roots = [v for v, p in parent.items() if p is None]
@@ -81,30 +100,24 @@ def load_hierarchy(document: Mapping) -> Hierarchy:
     if level[root] != height:
         raise MalformedHierarchy(f"root {root!r} must sit at level {height}")
 
-    children: dict[str, list[str]] = {v: [] for v in parent}
-    for value, p in parent.items():
-        if p is None:
-            continue
-        if p not in level:
-            raise MalformedHierarchy(f"{value!r} points at unknown parent {p!r}")
-        if level[p] != level[value] + 1:
-            raise MalformedHierarchy(
-                f"edge {value!r}->{p!r} skips levels ({level[value]} -> {level[p]})"
-            )
-        children[p].append(value)
-
-    base: dict[str, frozenset[str]] = {}
-    for lvl in range(0, height + 1):
-        for value in parent:
-            if level[value] != lvl:
-                continue
-            kids = children[value]
-            if not kids:
-                if lvl != 0:
-                    raise MalformedHierarchy(f"leaf {value!r} sits above the ground level")
-                base[value] = frozenset({value})
-            else:
-                base[value] = frozenset().union(*(base[k] for k in kids))
+    # top-down by level: a checked edge points one level up, whose chain is built
+    chain: dict[str, tuple[str, ...]] = {}
+    for value in sorted(parent, key=level.__getitem__, reverse=True):
+        if (p := parent[value]) is not None:
+            if p not in level:
+                raise MalformedHierarchy(f"{value!r} points at unknown parent {p!r}")
+            if level[p] != level[value] + 1:
+                raise MalformedHierarchy(
+                    f"edge {value!r}->{p!r} skips levels ({level[value]} -> {level[p]})"
+                )
+        chain[value] = (value, *chain.get(p, ()))
+    base: dict[str, list[str]] = {value: [] for value in parent}
+    for value, lvl in level.items():
+        if lvl == 0:
+            for node in chain[value]:
+                base[node].append(value)
+    if bare := [value for value, below in base.items() if not below]:
+        raise MalformedHierarchy(f"{bare[0]!r} has no ground value below it")
 
     # adjacency already rules out cycles; unreachable nodes would be a second root
     return Hierarchy(
@@ -113,7 +126,8 @@ def load_hierarchy(document: Mapping) -> Hierarchy:
         level=level,
         root=root,
         height=height,
-        _base=base,
+        _chain=chain,
+        _base={value: frozenset(below) for value, below in base.items()},
     )
 
 
@@ -126,30 +140,25 @@ def base(h: Hierarchy, value: str) -> frozenset[str]:
 def ancestors(h: Hierarchy, value: str) -> list[str]:
     """Chain from the value itself up to the root, inclusive."""
     h.require(value)
-    chain = [value]
-    while (p := h.parent[chain[-1]]) is not None:
-        chain.append(p)
-    return chain
+    return list(h._chain[value])
 
 
 def generalizes(h: Hierarchy, lower: str, upper: str) -> bool:
-    """True iff upper lies on the path from lower to the root (reflexive).
-
-    In a tree whose leaves all sit at level 0 that holds exactly when upper
-    is no lower than lower and its ground base contains lower's, so the test
-    reads the precomputed bases instead of walking the chain."""
+    """True iff upper lies on the path from lower to the root (reflexive)."""
     h.require(upper)
     h.require(lower)
-    return h.level[lower] <= h.level[upper] and h._base[lower] <= h._base[upper]
+    steps = h.level[upper] - h.level[lower]
+    return steps >= 0 and h._chain[lower][steps] == upper
 
 
 def lca(h: Hierarchy, a: str, b: str) -> str:
     """Deepest common ancestor; lca(v, v) == v."""
-    chain_b = set(ancestors(h, b))
-    for node in ancestors(h, a):
-        if node in chain_b:
-            return node
-    return h.root
+    level_a, level_b = h.level_of(a), h.level_of(b)
+    chain_a, chain_b = h._chain[a], h._chain[b]
+    top = max(level_a, level_b)
+    while chain_a[top - level_a] != chain_b[top - level_b]:
+        top += 1
+    return chain_a[top - level_a]
 
 
 def generalize_to(h: Hierarchy, value: str, level: int) -> str:
@@ -161,10 +170,7 @@ def generalize_to(h: Hierarchy, value: str, level: int) -> str:
         )
     if level > h.height:
         raise LevelBelowValue(f"{h.attribute}: level {level} exceeds height {h.height}")
-    node = value
-    while h.level[node] < level:
-        node = h.parent[node]  # type: ignore[assignment]
-    return node
+    return h._chain[value][level - start]
 
 
 class HierarchySet(dict):

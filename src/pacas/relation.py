@@ -169,22 +169,41 @@ class DependencyConfig:
             doc = source
         else:
             doc = json.loads(Path(source).read_text())
+        if not isinstance(doc, Mapping):
+            raise ValueError("config must be a JSON object")
         if unknown := sorted(set(doc) - {"qi", "sensitive", "fds", "mds"}):
             raise ValueError(f"unknown config keys {unknown}")
-        fds = tuple(FD(tuple(f["lhs"]), tuple(f["rhs"])) for f in doc.get("fds", ()))
+        fds = tuple(
+            FD(_array(f.get("lhs"), "an FD's lhs"), _array(f.get("rhs"), "an FD's rhs"))
+            for f in _array(doc.get("fds", []), "fds", dict)
+        )
         mds = tuple(
             MD(
-                match=tuple((c[0], c[1]) for c in m["match"]),
-                target=(m["target"][0], m["target"][1]),
+                match=tuple(_array(c, "an MD match clause", str, 2)
+                            for c in _array(m.get("match"), "an MD's match", list)),
+                target=_array(m.get("target"), "an MD's target", str, 2),
             )
-            for m in doc.get("mds", ())
+            for m in _array(doc.get("mds", []), "mds", dict)
         )
         return cls(
-            qi=tuple(doc.get("qi", ())),
-            sensitive=tuple(doc.get("sensitive", ())),
+            qi=_array(doc.get("qi", []), "qi"),
+            sensitive=_array(doc.get("sensitive", []), "sensitive"),
             fds=fds,
             mds=mds,
         )
+
+
+_ITEMS = {str: "strings", list: "arrays", dict: "objects"}
+
+
+def _array(raw: object, what: str, item: type = str, length: int | None = None) -> tuple:
+    """A config field that must be a JSON array of `item`s, `length` of them
+    if given; a string is never read as the array of its characters."""
+    if (not isinstance(raw, list) or not all(isinstance(x, item) for x in raw)
+            or length not in (None, len(raw))):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be an array of {count}{_ITEMS[item]}, got {raw!r}")
+    return tuple(raw)
 
 
 def _levels(relation: GeneralizedRelation, attrs: tuple[str, ...]):

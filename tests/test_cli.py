@@ -68,6 +68,23 @@ class TestCheckAnon:
         doc = json.loads(capsys.readouterr().out)
         assert doc["anonymous"] is False
 
+    # a malformed node is a validation error (exit 2), never a traceback
+    @pytest.mark.parametrize("malform", [
+        lambda nodes: nodes[-1].pop("level"),
+        lambda nodes: nodes[-1].pop("value"),
+        lambda nodes: nodes.append("NSAID"),
+        lambda nodes: nodes[-1].update(value=["ibuprofen"]),
+    ], ids=["no-level", "no-value", "string-node", "list-value"])
+    def test_malformed_hierarchy_node_exit_code(self, capsys, tmp_path, malform):
+        docs = json.loads((FIXTURES / "hierarchies.json").read_text())
+        malform(docs[-1]["nodes"])
+        (tmp_path / "h.json").write_text(json.dumps(docs))
+        rc = main(["check-anon", "--relation", str(FIXTURES / "public.csv"),
+                   "--hierarchies", str(tmp_path / "h.json"),
+                   "--config", str(FIXTURES / "config.json"), "--k", "3"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "MalformedHierarchy"
+
     def test_missing_file_exit_code(self, capsys):
         rc = main(["check-anon", "--relation", "/nonexistent.csv", *fixture_args()])
         assert rc == 2

@@ -7,6 +7,7 @@ and say why in the change log.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +60,16 @@ def test_fixture_clean_report_digest(tmp_path, capsys, k, lmax, support, expecte
     report.pop("wall_time_s", None)
     body = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(body).hexdigest() == expected
+
+
+def test_clean_pricing_benchmark_digest(tmp_path, monkeypatch):
+    """The benchmark's clean-pricing pool at seed 1, n=288 and |S|=60: a size
+    and support set that the fixture digests above never reach."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import run
+
+    setup = run.set_up(run.WORKLOADS["clean-pricing"], 1, tmp_path)
+    loop = run.timed_loop(setup, 0.0, float("inf"))
+    assert loop.problems == [] and loop.tally.errors == []
+    assert loop.digest(setup.wl.pool) == \
+        "2cbafcbab6c021cfb502ca386e1fdde118b871e2bfa76f5c483dece821d33fbd"

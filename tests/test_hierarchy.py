@@ -79,6 +79,31 @@ class TestLoading:
         with pytest.raises(MalformedHierarchy):
             load_hierarchy(doc)
 
+    # the loader owns node shapes: none escapes as a KeyError or TypeError, nor loads
+    @pytest.mark.parametrize("node, levels", [
+        ("x", 2),
+        ({"level": 0, "parent": "*"}, 2),
+        ({"value": "x", "parent": "*"}, 2),
+        ({"value": ["x"], "level": 0, "parent": "*"}, 2),
+        ({"value": 5, "level": 0, "parent": "*"}, 2),
+        ({"value": "x", "level": 0, "parent": ["*"]}, 2),
+        ({"value": "x", "level": 0.9, "parent": "*"}, 2),
+        ({"value": "x", "level": "0", "parent": "*"}, 2),
+        ({"value": "x", "level": False, "parent": "*"}, 2),
+        ({"value": "x", "level": 0, "parent": "*"}, 2.0),
+    ], ids=["string-node", "no-value", "no-level", "list-value", "int-value", "list-parent",
+            "float-level", "string-level", "bool-level", "float-levels"])
+    def test_malformed_node_rejected(self, node, levels):
+        doc = {"attribute": "A", "levels": levels,
+               "nodes": [{"value": "*", "level": 1, "parent": None}, node]}
+        with pytest.raises(MalformedHierarchy):
+            load_hierarchy(doc)
+
+    def test_bool_levels_rejected(self):
+        with pytest.raises(MalformedHierarchy):
+            load_hierarchy({"attribute": "A", "levels": True,
+                            "nodes": [{"value": "*", "level": 0, "parent": None}]})
+
     def test_duplicate_attribute_in_set_rejected(self):
         from pacas.hierarchy import load_hierarchy_set
         doc = {"attribute": "A", "levels": 1,
@@ -188,6 +213,23 @@ def test_base_is_union_of_children_bases(doc):
         assert len(base(h, value)) >= 1
         if kids:
             assert base(h, value) == frozenset().union(*(base(h, k) for k in kids))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=tree_documents(), data=st.data())
+def test_ancestor_readers_match_parent_walk(doc, data):
+    h = load_hierarchy(doc)
+    values = sorted(h.level)
+    u = data.draw(st.sampled_from(values))
+    w = data.draw(st.sampled_from(values))
+    walk = [u]
+    while h.parent[walk[-1]] is not None:
+        walk.append(h.parent[walk[-1]])
+    assert ancestors(h, u) == walk
+    at_level = {h.level[node]: node for node in walk}
+    for level in range(h.level[u], h.height + 1):
+        assert generalize_to(h, u, level) == at_level[level]
+    assert generalizes(h, u, w) == (w in walk)
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,6 +100,28 @@ class TestDependencyConfig:
         with pytest.raises(UnknownAttribute, match="overlap"):
             DependencyConfig.from_json({**self.DOC, "sensitive": ["MED", "AGE"]})
 
+    # DependencyConfig owns these shapes: none escapes as a KeyError, IndexError
+    # or TypeError, and no string is read as the tuple of its characters
+    @pytest.mark.parametrize("key, value", [
+        ("qi", "GEN"),
+        ("sensitive", "MED"),
+        ("sensitive", [1]),
+        ("fds", "x"),
+        ("fds", [["GEN", "MED"]]),
+        ("fds", [{"lhs": ["GEN", "DIAG"]}]),
+        ("fds", [{"lhs": "GEN", "rhs": ["MED"]}]),
+        ("mds", [{"match": [["GEN"]], "target": ["MED", "MED"]}]),
+        ("mds", [{"match": "GG", "target": ["MED", "MED"]}]),
+        ("mds", [{"match": [["GEN", "GEN"]], "target": "MED"}]),
+        ("mds", [{"match": [["GEN", "GEN"]], "target": ["MED", "MED", "MED"]}]),
+        ("mds", [{"target": ["MED", "MED"]}]),
+    ], ids=["string-qi", "string-sensitive", "int-sensitive", "string-fds", "array-fd",
+            "fd-without-rhs", "string-lhs", "one-element-match", "string-match",
+            "string-target", "three-element-target", "md-without-match"])
+    def test_malformed_shape_rejected(self, key, value):
+        with pytest.raises(ValueError):
+            DependencyConfig.from_json({**self.DOC, key: value})
+
 
 class TestConsistency:
     def test_golden_violations(self, dirty):
