@@ -6,23 +6,4 @@ in its dirty relation by purchasing possibly generalized values under a
 budget.
 """
 
-from .anonymity import AnonymitySpec, is_safe_query, is_xy_anonymous, is_xyl_anonymous
-from .cleaner import safe_clean
-from .gquery import GeneralizedQuery, eval_gq, eval_ground, xgroup_query
-from .hierarchy import Hierarchy, HierarchySet, load_hierarchy, load_hierarchy_set
-from .metrics import Distribution, PenaltyTable, distance, normalized_bucket, penalty
-from .pricing import INFINITE, SupportSet, baseline_price, build_support_set, commit_sale, safe_price
-from .provider import ProviderSession, ValueRequest, translate_request
-from .relation import (
-    FD,
-    MD,
-    DependencyConfig,
-    EquivalenceClass,
-    GeneralizedRelation,
-    Schema,
-    generate_eqs,
-    is_consistent,
-    load_relation,
-)
-
 __version__ = "0.1.0"

@@ -71,6 +71,8 @@ def load_hierarchy(document: Mapping) -> Hierarchy:
         nodes = document["nodes"]
     except (KeyError, TypeError) as exc:
         raise MalformedHierarchy(f"missing field: {exc}") from exc
+    if not isinstance(attribute, str):
+        raise MalformedHierarchy(f"attribute {attribute!r} is not a string")
     if declared_levels < 1 or not isinstance(nodes, list) or not nodes:
         raise MalformedHierarchy("hierarchy needs at least one level and an array of nodes")
 

@@ -75,7 +75,11 @@ class GeneralizedRelation:
     def __post_init__(self):
         self._by_tid = {row.tid: row for row in self.rows}
         if len(self._by_tid) != len(self.rows):
-            raise DuplicateTupleId("tuple ids are not unique")
+            seen: set[str] = set()
+            for row in self.rows:
+                if row.tid in seen:
+                    raise DuplicateTupleId(f"duplicate tuple id {row.tid!r}")
+                seen.add(row.tid)
 
     def row(self, tid: str) -> Row:
         try:
@@ -128,7 +132,6 @@ def load_relation(source: str | Path, hierarchies: hi.HierarchySet) -> Generaliz
     key, attributes = header[0], tuple(header[1:])
     schema = Schema(attributes=attributes, key=key)
     rows: list[Row] = []
-    seen: set[str] = set()
     for record in reader:
         if not record:
             continue
@@ -136,9 +139,6 @@ def load_relation(source: str | Path, hierarchies: hi.HierarchySet) -> Generaliz
         if len(record) != len(header):
             raise SchemaMismatch(
                 f"tuple {tid!r} has {len(record)} cells; the header has {len(header)} columns")
-        if tid in seen:
-            raise DuplicateTupleId(f"duplicate tuple id {tid!r}")
-        seen.add(tid)
         values: dict[str, str] = {}
         for attr, cell in zip(attributes, cells):
             h = hierarchies.for_attribute(attr)

@@ -68,16 +68,17 @@ class TestCheckAnon:
         doc = json.loads(capsys.readouterr().out)
         assert doc["anonymous"] is False
 
-    # a malformed node is a validation error (exit 2), never a traceback
+    # a malformed node or attribute is a validation error (exit 2), never a traceback
     @pytest.mark.parametrize("malform", [
-        lambda nodes: nodes[-1].pop("level"),
-        lambda nodes: nodes[-1].pop("value"),
-        lambda nodes: nodes.append("NSAID"),
-        lambda nodes: nodes[-1].update(value=["ibuprofen"]),
-    ], ids=["no-level", "no-value", "string-node", "list-value"])
+        lambda doc: doc["nodes"][-1].pop("level"),
+        lambda doc: doc["nodes"][-1].pop("value"),
+        lambda doc: doc["nodes"].append("NSAID"),
+        lambda doc: doc["nodes"][-1].update(value=["ibuprofen"]),
+        lambda doc: doc.update(attribute=[doc["attribute"]]),
+    ], ids=["no-level", "no-value", "string-node", "list-value", "list-attribute"])
     def test_malformed_hierarchy_node_exit_code(self, capsys, tmp_path, malform):
         docs = json.loads((FIXTURES / "hierarchies.json").read_text())
-        malform(docs[-1]["nodes"])
+        malform(docs[-1])
         (tmp_path / "h.json").write_text(json.dumps(docs))
         rc = main(["check-anon", "--relation", str(FIXTURES / "public.csv"),
                    "--hierarchies", str(tmp_path / "h.json"),

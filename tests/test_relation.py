@@ -63,7 +63,7 @@ class TestLoading:
 
     def test_duplicate_tuple_id(self, hierarchies):
         csv_text = "ID,GEN\nt1,male\nt1,female\n"
-        with pytest.raises(DuplicateTupleId):
+        with pytest.raises(DuplicateTupleId, match="duplicate tuple id 't1'"):
             load_relation(csv_text, hierarchies)
 
     def test_short_row(self, hierarchies):
